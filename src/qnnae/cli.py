@@ -69,7 +69,10 @@ def _load_config_file(path) -> dict:
             key = key.strip()
             if key not in DEFAULTS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _TYPES[key](value.strip())
+            try:
+                values[key] = _TYPES[key](value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
@@ -82,6 +85,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             cfg[key] = flag_value
+    if cfg["threads"] < 1:
+        raise ValueError(f"threads must be >= 1, got {cfg['threads']}")
     return cfg
 
 
@@ -173,6 +178,8 @@ def _map_fn(cfg: dict, executor_holder: list):
 
 
 def _cmd_pqm(args: argparse.Namespace) -> int:
+    if args.shots is not None and args.shots < 1:
+        raise ValueError(f"--shots must be >= 1, got {args.shots}")
     memory = pqm.PatternMemory.from_file(args.memory_file)
     input_pattern = pqm.BitString.from_string(args.input_bits)
     outcome = pqm.retrieve_analytic(memory, input_pattern)
@@ -183,7 +190,7 @@ def _cmd_pqm(args: argparse.Namespace) -> int:
             f"circuit_p0={exact.p0:.6f} circuit_p1={exact.p1:.6f} "
             f"difference={abs(exact.p0 - outcome.p0):.3e}"
         )
-    if args.shots:
+    if args.shots is not None:
         estimate, counts = pqm.retrieve_circuit(memory, input_pattern, args.shots, args.seed)
         print(
             f"shots={args.shots} freq0={estimate.p0:.6f} "

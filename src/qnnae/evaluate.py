@@ -14,7 +14,6 @@ bit-for-bit regardless of worker count.
 """
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import mlp, pqm
+from . import mlp
 from .dataio import Dataset, SplitSpec, split
 from .mlp import MlpArchitecture, MlpModel, TrainConfig
 from .pqm import BitString
@@ -104,17 +103,22 @@ def performance_vector(
     return PerformanceVector(BitString(bits), source_index)
 
 
+def _score_from_misses(misses: Sequence[int], t_s: int) -> float:
+    """Mean of cos^2(pi * misses / (2 t_s)), summed left to right in sample order."""
+    total = 0.0
+    for m in misses:
+        total += math.cos(math.pi * m / (2 * t_s)) ** 2
+    return total / len(misses)
+
+
 def score(performances: Sequence[PerformanceVector], t_s: int) -> float:
     """Retrieval probability of the all-ones input against the performance memory."""
     if not performances:
         raise ValueError("need at least one performance vector")
-    total = 0.0
     for perf in performances:
         if len(perf) != t_s:
             raise ValueError(f"performance vector length {len(perf)} != t_s {t_s}")
-        misses = t_s - sum(perf.bits)
-        total += math.cos(math.pi * misses / (2 * t_s)) ** 2
-    return total / len(performances)
+    return _score_from_misses([t_s - sum(perf.bits) for perf in performances], t_s)
 
 
 def estimate_score_shots(p0: float, kappa: int, seed: int = 0) -> float:
@@ -159,7 +163,7 @@ def _sample_seed(seed: int, index: int) -> np.random.SeedSequence:
 def evaluate_weight_list(
     arch: MlpArchitecture,
     dataset: Dataset,
-    weight_vectors: Sequence[np.ndarray],
+    weights: np.ndarray,
     train: bool,
     train_cfg: Optional[TrainConfig],
     split_spec: SplitSpec,
@@ -167,52 +171,49 @@ def evaluate_weight_list(
     mode: str,
     map_fn: Optional[Callable] = None,
 ) -> ArchitectureReport:
-    """Shared core: evaluate explicit weight vectors in the given order.
+    """Shared core: evaluate the rows of an (S, weight_count) array in order.
 
     Training is vectorized across models in fixed-size chunks; `map_fn` allows a
     parallel map over chunks (e.g. a thread-pool executor's).  Chunk boundaries
     and the final reduction order are fixed, so output is independent of
-    scheduling.  Diverged trainings are excluded from the memory and counted.
+    scheduling.  Each network is reduced to its number of validation misses;
+    diverged trainings are excluded from the memory and counted.
     """
     x_train, y_train, x_val, y_val, mean, scale = standardized_splits(dataset, split_spec)
+    t_s = len(y_val)
+    if t_s == 0:
+        raise ValueError("validation set must be non-empty")
     cfg = train_cfg or TrainConfig()
-    chunks = [
-        (start, np.array(weight_vectors[start : start + TRAIN_CHUNK]))
-        for start in range(0, len(weight_vectors), TRAIN_CHUNK)
-    ]
+    weights = np.asarray(weights, dtype=np.float64)
 
-    def run_chunk(item: Tuple[int, np.ndarray]):
-        start, stack = item
+    def run_chunk(start: int) -> Tuple[np.ndarray, int]:
+        stack = weights[start : start + TRAIN_CHUNK]
         if train:
             stack, diverged = mlp.train_batch(arch, stack, x_train, y_train, cfg, mean, scale)
         else:
-            diverged = np.zeros(stack.shape[0], dtype=bool)
-        out = []
-        for offset, weights in enumerate(stack):
-            index = start + offset
-            if diverged[offset]:
-                log.warning("sample %d diverged; excluded", index)
-                out.append((index, None))
+            diverged = np.zeros(len(stack), dtype=bool)
+        misses = np.zeros(len(stack), dtype=np.int64)
+        for row, w in enumerate(stack):
+            if diverged[row]:
+                log.warning("sample %d diverged; excluded", start + row)
                 continue
-            model = MlpModel(arch, weights, mean, scale)
-            out.append((index, performance_vector(model, x_val, y_val, index)))
-        return out
+            predicted = mlp.classify(MlpModel(arch, w, mean, scale), x_val)
+            misses[row] = np.count_nonzero(predicted != y_val)
+        return misses[~diverged], int(diverged.sum())
 
     mapper = map_fn or map
-    results = [r for chunk in mapper(run_chunk, chunks) for r in chunk]
-    results.sort(key=lambda r: r[0])
-
-    performances = [perf for _, perf in results if perf is not None]
-    excluded = len(results) - len(performances)
-    if not performances:
+    results = list(mapper(run_chunk, range(0, len(weights), TRAIN_CHUNK)))
+    misses = np.concatenate([m for m, _ in results])
+    excluded = sum(d for _, d in results)
+    if misses.size == 0:
         raise ValueError("every weight sample diverged; nothing to score")
-    accuracies = np.array([p.accuracy for p in performances])
+    accuracies = (t_s - misses) / t_s
     return ArchitectureReport(
         architecture=arch,
-        score_p0=score(performances, len(y_val)),
+        score_p0=_score_from_misses(misses.tolist(), t_s),
         mean_accuracy=float(accuracies.mean()),
         accuracy_per_sample=accuracies,
-        num_samples=len(performances),
+        num_samples=misses.size,
         mode=mode,
         seed=seed,
         excluded=excluded,
@@ -232,11 +233,11 @@ def evaluate_sampled(
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     spec = split_spec or SplitSpec(seed=seed)
-    weight_vectors = [
-        mlp.init_weights(arch, _sample_seed(seed, i)) for i in range(num_samples)
-    ]
+    weights = np.stack(
+        [mlp.init_weights(arch, _sample_seed(seed, i)) for i in range(num_samples)]
+    )
     return evaluate_weight_list(
-        arch, dataset, weight_vectors, True, train_cfg, spec, seed, "sampled", map_fn
+        arch, dataset, weights, True, train_cfg, spec, seed, "sampled", map_fn
     )
 
 
@@ -250,7 +251,11 @@ def evaluate_exhaustive(
     split_spec: Optional[SplitSpec] = None,
     map_fn: Optional[Callable] = None,
 ) -> ArchitectureReport:
-    """Enumerate every grid point (lexicographic in level order) and score them all."""
+    """Enumerate every grid point (lexicographic in level order) and score them all.
+
+    Point i has weight j at level digit j of i in base len(levels), most
+    significant digit first: the order of itertools.product.
+    """
     if grid.weight_count != arch.weight_count:
         raise ValueError(
             f"grid is over {grid.weight_count} weights, architecture has {arch.weight_count}"
@@ -258,12 +263,14 @@ def evaluate_exhaustive(
     if grid.num_points > grid.budget:
         raise BudgetExceededError(grid.num_points, grid.budget)
     spec = split_spec or SplitSpec(seed=seed)
-    weight_vectors = [
-        np.array(point, dtype=np.float64)
-        for point in itertools.product(grid.levels, repeat=grid.weight_count)
-    ]
+    levels = np.array(grid.levels, dtype=np.float64)
+    index = np.arange(grid.num_points)
+    weights = np.empty((grid.num_points, grid.weight_count))
+    for j in range(grid.weight_count):
+        place = len(levels) ** (grid.weight_count - 1 - j)
+        weights[:, j] = levels[index // place % len(levels)]
     return evaluate_weight_list(
-        arch, dataset, weight_vectors, train, train_cfg, spec, seed, "exhaustive", map_fn
+        arch, dataset, weights, train, train_cfg, spec, seed, "exhaustive", map_fn
     )
 
 
@@ -331,9 +338,3 @@ def write_reports_csv(reports: Sequence[ArchitectureReport], path) -> None:
         for report in reports:
             fh.write(report_csv_row(report) + "\n")
 
-
-def write_performance_matrix(performances: Sequence[PerformanceVector], path) -> None:
-    """Optional dump: one performance bit-vector per line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for perf in performances:
-            fh.write(str(perf.bits) + "\n")

@@ -20,10 +20,6 @@ ACTIVATIONS = ("logistic", "tanh", "relu")
 class TrainingDivergedError(ArithmeticError):
     """Loss became non-finite during training."""
 
-    def __init__(self, iteration: int):
-        super().__init__(f"non-finite loss at iteration {iteration}")
-        self.iteration = iteration
-
 
 @dataclass(frozen=True)
 class MlpArchitecture:
@@ -98,13 +94,6 @@ def init_weights(arch: MlpArchitecture, rng_seed: int) -> np.ndarray:
     return np.concatenate([w1, w2])
 
 
-def _unpack(arch: MlpArchitecture, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    n1 = (arch.input_dim + 1) * arch.hidden_neurons
-    w1 = w[:n1].reshape(arch.input_dim + 1, arch.hidden_neurons)
-    w2 = w[n1:].reshape(arch.hidden_neurons + 1, arch.output_dim)
-    return w1, w2
-
-
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     if activation == "logistic":
         return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
@@ -136,11 +125,8 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     arch = model.architecture
     if xb.shape[1] != arch.input_dim:
         raise ValueError(f"expected {arch.input_dim} features, got {xb.shape[1]}")
-    xb = _standardize(model, xb)
-    w1, w2 = _unpack(arch, model.weights)
-    hidden = _activate(xb @ w1[:-1] + w1[-1], arch.activation)
-    scores = hidden @ w2[:-1] + w2[-1]
-    return scores[0] if single else scores
+    _, scores = _batched_scores(arch, model.weights[None, :], _standardize(model, xb))
+    return scores[0, 0] if single else scores[0]
 
 
 def classify(model: MlpModel, x: np.ndarray):
@@ -164,19 +150,8 @@ def _loss_only(
     y: np.ndarray,
     l2_alpha: float,
 ) -> float:
-    w1, w2 = _unpack(arch, w)
-    hidden = _activate(x @ w1[:-1] + w1[-1], arch.activation)
-    z = hidden @ w2[:-1] + w2[-1]
-    n = x.shape[0]
-    if arch.output_dim == 1:
-        z0 = z[:, 0]
-        # stable logistic loss: softplus(z) - y*z
-        data = float(np.mean(np.logaddexp(0.0, z0) - y * z0))
-    else:
-        zmax = z.max(axis=1, keepdims=True)
-        lse = zmax[:, 0] + np.log(np.sum(np.exp(z - zmax), axis=1))
-        data = float(np.mean(lse - z[np.arange(n), y]))
-    return data + 0.5 * l2_alpha * float(w @ w)
+    """One-model `batched_loss`."""
+    return float(batched_loss(arch, w[None, :], x, y, l2_alpha)[0])
 
 
 def loss_and_grad(
@@ -187,34 +162,8 @@ def loss_and_grad(
     l2_alpha: float,
 ) -> Tuple[float, np.ndarray]:
     """Mean cross-entropy plus l2_alpha/2 * ||w||^2, with its analytic gradient."""
-    w1, w2 = _unpack(arch, w)
-    n = x.shape[0]
-    z1 = x @ w1[:-1] + w1[-1]
-    hidden = _activate(z1, arch.activation)
-    z = hidden @ w2[:-1] + w2[-1]
-    if arch.output_dim == 1:
-        z0 = z[:, 0]
-        data = float(np.mean(np.logaddexp(0.0, z0) - y * z0))
-        dz = ((1.0 / (1.0 + np.exp(-np.clip(z0, -500, 500)))) - y)[:, None] / n
-    else:
-        zmax = z.max(axis=1, keepdims=True)
-        ez = np.exp(z - zmax)
-        probs = ez / ez.sum(axis=1, keepdims=True)
-        lse = zmax[:, 0] + np.log(ez.sum(axis=1))
-        data = float(np.mean(lse - z[np.arange(n), y]))
-        dz = probs.copy()
-        dz[np.arange(n), y] -= 1.0
-        dz /= n
-    gw2 = np.empty_like(w2)
-    gw2[:-1] = hidden.T @ dz
-    gw2[-1] = dz.sum(axis=0)
-    dh = dz @ w2[:-1].T
-    dh *= _activation_grad(hidden, arch.activation)
-    gw1 = np.empty_like(w1)
-    gw1[:-1] = x.T @ dh
-    gw1[-1] = dh.sum(axis=0)
-    grad = np.concatenate([gw1.reshape(-1), gw2.reshape(-1)]) + l2_alpha * w
-    return data + 0.5 * l2_alpha * float(w @ w), grad
+    loss, grad = batched_loss_and_grad(arch, w[None, :], x, y, l2_alpha)
+    return float(loss[0]), grad[0]
 
 
 def train(
@@ -222,10 +171,12 @@ def train(
     x: np.ndarray,
     y: np.ndarray,
     config: Optional[TrainConfig] = None,
-    rng_seed: Optional[int] = None,  # accepted for interface symmetry; descent is deterministic
 ) -> MlpModel:
-    """Full-batch gradient descent with Armijo backtracking; loss never increases."""
-    config = config or TrainConfig()
+    """Full-batch gradient descent with Armijo backtracking; loss never increases.
+
+    One-model `train_batch`; raises TrainingDivergedError if the loss goes
+    non-finite.
+    """
     arch = model.architecture
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y).reshape(-1)
@@ -237,35 +188,12 @@ def train(
         raise ValueError("feature and label counts differ")
     if y.min() < 0 or y.max() >= arch.num_classes:
         raise ValueError(f"labels must lie in [0, {arch.num_classes})")
-    x = _standardize(model, x)
-    if arch.output_dim == 1:
-        y = y.astype(np.float64)
-
-    w = model.weights.copy()
-    step = config.learning_rate
-    loss, grad = loss_and_grad(arch, w, x, y, config.l2_alpha)
-    if not math.isfinite(loss):
-        raise TrainingDivergedError(0)
-    for it in range(config.max_iter):
-        gnorm_sq = float(grad @ grad)
-        if math.sqrt(gnorm_sq) < config.tolerance:
-            break
-        step = min(step * 2.0, 1e6)
-        accepted = False
-        while step >= 1e-14:
-            w_try = w - step * grad
-            loss_try = _loss_only(arch, w_try, x, y, config.l2_alpha)
-            if math.isfinite(loss_try) and loss_try <= loss - 1e-4 * step * gnorm_sq:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break  # no descent step found: treat as converged
-        w = w_try
-        loss, grad = loss_and_grad(arch, w, x, y, config.l2_alpha)
-        if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
-            raise TrainingDivergedError(it + 1)
-    return MlpModel(arch, w, model.feature_mean, model.feature_scale)
+    w, diverged = train_batch(
+        arch, model.weights[None, :], x, y, config, model.feature_mean, model.feature_scale
+    )
+    if diverged[0]:
+        raise TrainingDivergedError("non-finite loss during training")
+    return MlpModel(arch, w[0], model.feature_mean, model.feature_scale)
 
 
 def _batched_unpack(arch: MlpArchitecture, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -302,7 +230,7 @@ def _batched_data_loss(arch: MlpArchitecture, z: np.ndarray, y: np.ndarray) -> n
 def batched_loss(
     arch: MlpArchitecture, w: np.ndarray, x: np.ndarray, y: np.ndarray, l2_alpha: float
 ) -> np.ndarray:
-    """Per-model losses for a (S, weight_count) stack; matches _loss_only row-wise."""
+    """Per-model losses for a (S, weight_count) stack."""
     _, z = _batched_scores(arch, w, x)
     return _batched_data_loss(arch, z, y) + 0.5 * l2_alpha * np.sum(w * w, axis=1)
 
@@ -310,15 +238,13 @@ def batched_loss(
 def batched_loss_and_grad(
     arch: MlpArchitecture, w: np.ndarray, x: np.ndarray, y: np.ndarray, l2_alpha: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized counterpart of loss_and_grad over a stack of weight vectors."""
-    s = w.shape[0]
+    """Per-model losses and their analytic gradients for a (S, weight_count) stack."""
     n = x.shape[0]
     w1, w2 = _batched_unpack(arch, w)
     hidden, z = _batched_scores(arch, w, x)
     loss = _batched_data_loss(arch, z, y) + 0.5 * l2_alpha * np.sum(w * w, axis=1)
     if arch.output_dim == 1:
-        probs = 1.0 / (1.0 + np.exp(-np.clip(z[..., 0], -500, 500)))
-        dz = (probs - y[None, :])[..., None] / n
+        dz = (_activate(z[..., 0], "logistic") - y[None, :])[..., None] / n
     else:
         zmax = z.max(axis=2, keepdims=True)
         ez = np.exp(z - zmax)
@@ -348,7 +274,7 @@ def train_batch(
     feature_mean: Optional[np.ndarray] = None,
     feature_scale: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Train a stack of models with the same descent rule as `train`, vectorized.
+    """Train a stack of models by full-batch gradient descent with Armijo backtracking.
 
     Each row keeps its own step size and Armijo acceptance.  Returns the final
     (S, weight_count) weights and a boolean mask of models whose loss went

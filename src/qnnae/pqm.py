@@ -116,9 +116,15 @@ class PatternMemory:
                 if not line:
                     continue
                 try:
-                    strings.append(BitString.from_string(line))
+                    pattern = BitString.from_string(line)
+                    if strings and len(pattern) != len(strings[0]):
+                        raise ValueError(
+                            f"all patterns must have length {len(strings[0])}, "
+                            f"got {len(pattern)} ({pattern})"
+                        )
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                strings.append(pattern)
         return cls(strings)
 
     @property

@@ -57,6 +57,14 @@ def test_pqm_shots_flag(memory_file, capsys):
     assert "shots=400" in out
 
 
+def test_pqm_rejects_nonpositive_shots(memory_file, capsys):
+    for shots in ("0", "-5"):
+        code, out, err = run(capsys, "pqm", memory_file, "00", "--shots", shots)
+        assert code == 1
+        assert "--shots must be >= 1" in err
+        assert out == ""  # rejected before any retrieval ran
+
+
 def test_pqm_capacity_exit_code(tmp_path, capsys):
     path = tmp_path / "memory.txt"
     path.write_text("0" * 12 + "\n")
@@ -73,10 +81,11 @@ def test_pqm_missing_file(capsys):
 
 def test_pqm_parse_error_line_number(tmp_path, capsys):
     path = tmp_path / "memory.txt"
-    path.write_text("00\n0x\n")
-    code, _, err = run(capsys, "pqm", str(path), "00")
-    assert code == 1
-    assert ":2:" in err
+    for text, lineno in (("00\n0x\n", 2), ("00\n# comment\n011\n", 3)):
+        path.write_text(text)
+        code, _, err = run(capsys, "pqm", str(path), "00")
+        assert code == 1
+        assert f"{path}:{lineno}:" in err
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +170,24 @@ def test_config_file_precedence(xor_csv, tmp_path, capsys):
 
 def test_config_file_bad_key(xor_csv, tmp_path, capsys):
     config = tmp_path / "run.cfg"
-    config.write_text("warp_speed=9\n")
-    code, _, err = run(capsys, "sweep", xor_csv, "--config", str(config), "--show-config")
-    assert code == 1
+    for text, lineno in (("warp_speed=9\n", 1), ("seed=3\nsamples=abc\n", 2)):
+        config.write_text(text)
+        code, _, err = run(capsys, "sweep", xor_csv, "--config", str(config), "--show-config")
+        assert code == 1
+        assert f"{config}:{lineno}:" in err
+
+
+def test_threads_must_be_positive(xor_csv, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    for value in ("0", "-2"):
+        config.write_text(f"threads={value}\n")
+        for extra in (["--threads", value], ["--config", str(config)]):
+            code, out, err = run(
+                capsys, "sweep", xor_csv, "--hidden-range", "1", "2", "--samples", "3", *extra
+            )
+            assert code == 1
+            assert f"threads must be >= 1, got {value}" in err
+            assert out == ""  # rejected before any training ran
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,16 @@ def xor_dataset():
     return dataio.make_synthetic("xor", 120, 0.15, seed=3)
 
 
+@pytest.fixture(scope="module")
+def blobs3_dataset():
+    """Three overlapping Gaussian blobs, so the softmax branch runs."""
+    rng = np.random.default_rng(5)
+    labels = np.arange(150) % 3
+    centers = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+    features = centers[labels] + rng.normal(scale=0.8, size=(150, 2))
+    return dataio.Dataset(features, labels, 3, "blobs3")
+
+
 # ---------------------------------------------------------------------------
 # performance vectors
 # ---------------------------------------------------------------------------
@@ -185,6 +195,29 @@ def test_sampled_score_matches_retrieval(xor_dataset):
     assert report.score_p0 == pytest.approx(via_memory.p0, abs=1e-12)
 
 
+@pytest.mark.parametrize("dataset_name", ["xor_dataset", "blobs3_dataset"])
+def test_pipeline_miss_counts_match_performance_vectors(dataset_name, request):
+    # the pipeline's per-network miss counts equal the public performance vectors'
+    dataset = request.getfixturevalue(dataset_name)
+    arch = evaluate.architecture_for(dataset, 3, "logistic")
+    seed = 4
+    spec = SplitSpec(seed=seed)
+    report = evaluate_sampled(arch, dataset, num_samples=10, seed=seed, split_spec=spec)
+    x_train, y_train, x_val, y_val, mean, scale = evaluate.standardized_splits(dataset, spec)
+    stack = np.stack(
+        [mlp.init_weights(arch, np.random.SeedSequence((seed, i))) for i in range(10)]
+    )
+    trained, _ = mlp.train_batch(arch, stack, x_train, y_train, None, mean, scale)
+    vectors = [
+        performance_vector(MlpModel(arch, w, mean, scale), x_val, y_val) for w in trained
+    ]
+    t_s = len(y_val)
+    misses = np.rint(t_s * (1.0 - report.accuracy_per_sample)).astype(int)
+    assert misses.tolist() == [t_s - sum(v.bits) for v in vectors]
+    assert np.array_equal(report.accuracy_per_sample, [v.accuracy for v in vectors])
+    assert report.score_p0 == score(vectors, t_s)
+
+
 def test_sampled_excludes_diverged(xor_dataset, monkeypatch):
     real = mlp.train_batch
 
@@ -277,6 +310,40 @@ def test_exhaustive_grid_coherence(xor_dataset):
     assert np.array_equal(direct.accuracy_per_sample, replay.accuracy_per_sample)
 
 
+@pytest.mark.parametrize("case", ["sampled_binary", "sampled_3class", "exhaustive"])
+def test_reports_independent_of_chunk_size(case, xor_dataset, blobs3_dataset, monkeypatch):
+    def report_row():
+        if case == "sampled_binary":
+            report = evaluate_sampled(MlpArchitecture(2, 2, 1), xor_dataset, 20, seed=3)
+        elif case == "sampled_3class":
+            report = evaluate_sampled(MlpArchitecture(2, 2, 3), blobs3_dataset, 20, seed=3)
+        else:
+            arch = MlpArchitecture(2, 1, 1)
+            grid = WeightGrid((-1.0, 0.0, 1.0), arch.weight_count)
+            report = evaluate_exhaustive(arch, xor_dataset, grid)
+        return evaluate.report_csv_row(report)
+
+    rows = []
+    for chunk in (7, 64):
+        monkeypatch.setattr(evaluate, "TRAIN_CHUNK", chunk)
+        rows.append(report_row())
+    assert rows[0] == rows[1]
+
+
+def test_exhaustive_grid_is_product_order(xor_dataset, monkeypatch):
+    seen = {}
+
+    def capture(arch, dataset, weights, *rest):
+        seen["weights"] = weights
+
+    monkeypatch.setattr(evaluate, "evaluate_weight_list", capture)
+    arch = MlpArchitecture(2, 1, 1)
+    grid = WeightGrid((2.0, -1.0, 0.5), arch.weight_count)
+    evaluate_exhaustive(arch, xor_dataset, grid)
+    expected = np.array(list(itertools.product(grid.levels, repeat=grid.weight_count)))
+    assert np.array_equal(seen["weights"], expected)
+
+
 def test_grid_arch_mismatch(xor_dataset):
     with pytest.raises(ValueError):
         evaluate_exhaustive(
@@ -323,9 +390,3 @@ def test_report_csv(tmp_path, xor_dataset):
     assert lines[1].startswith("1,")
     assert lines[2].startswith("2,")
 
-
-def test_performance_matrix_dump(tmp_path):
-    vectors = [perf([1, 0, 1]), perf([0, 0, 1])]
-    path = tmp_path / "matrix.txt"
-    evaluate.write_performance_matrix(vectors, path)
-    assert path.read_text() == "101\n001\n"

@@ -9,6 +9,7 @@ from qnnae.mlp import (
     MlpArchitecture,
     MlpModel,
     TrainConfig,
+    TrainingDivergedError,
     classify,
     forward,
     init_weights,
@@ -43,6 +44,20 @@ def reference_forward(arch, weights, x):
             z += hidden[h] * weights[n1 + h * arch.output_dim + o]
         scores.append(z)
     return np.array(scores)
+
+
+def reference_loss(arch, weights, x, y, l2):
+    """Mean cross-entropy of reference_forward plus l2/2 * ||w||^2, in plain loops."""
+    total = 0.0
+    for xi, yi in zip(x, y):
+        scores = reference_forward(arch, weights, xi)
+        if arch.output_dim == 1:
+            z = scores[0]
+            total += math.log1p(math.exp(z)) - yi * z
+        else:
+            top = max(scores)
+            total += top + math.log(sum(math.exp(s - top) for s in scores)) - scores[yi]
+    return total / len(y) + 0.5 * l2 * sum(v * v for v in weights)
 
 
 # ---------------------------------------------------------------------------
@@ -186,18 +201,31 @@ def test_gradient_matches_finite_differences(seed):
     assert np.max(np.abs(analytic - numeric) / denom) <= 1e-5
 
 
-def test_batched_loss_grad_matches_single():
+def test_batched_loss_and_grad_match_reference():
+    # the kernels against the plain-loop reference loss and its central differences
     rng = np.random.default_rng(17)
-    for output_dim in (1, 3):
-        arch = MlpArchitecture(3, 4, output_dim, "logistic")
-        stack = np.stack([init_weights(arch, s) for s in range(6)])
+    l2, eps = 1e-4, 1e-5
+    for output_dim, activation in ((1, "logistic"), (3, "tanh")):
+        arch = MlpArchitecture(3, 4, output_dim, activation)
+        stack = np.stack([init_weights(arch, s) for s in range(4)])
         x = rng.normal(size=(9, 3))
         y = rng.integers(0, arch.num_classes, 9)
-        losses, grads = mlp.batched_loss_and_grad(arch, stack, x, y.astype(float) if output_dim == 1 else y, 1e-4)
-        for i in range(6):
-            loss_i, grad_i = loss_and_grad(arch, stack[i], x, y, 1e-4)
-            assert losses[i] == pytest.approx(loss_i, abs=1e-12)
-            assert np.max(np.abs(grads[i] - grad_i)) <= 1e-12
+        losses = mlp.batched_loss(arch, stack, x, y, l2)
+        grad_losses, grads = mlp.batched_loss_and_grad(arch, stack, x, y, l2)
+        for i, w in enumerate(stack):
+            expected = reference_loss(arch, w, x, y, l2)
+            assert losses[i] == pytest.approx(expected, rel=1e-12)
+            assert grad_losses[i] == pytest.approx(expected, rel=1e-12)
+            numeric = np.zeros_like(w)
+            for j in range(len(w)):
+                wp, wm = w.copy(), w.copy()
+                wp[j] += eps
+                wm[j] -= eps
+                numeric[j] = (
+                    reference_loss(arch, wp, x, y, l2) - reference_loss(arch, wm, x, y, l2)
+                ) / (2 * eps)
+            denom = np.maximum(np.abs(grads[i]) + np.abs(numeric), 1e-8)
+            assert np.max(np.abs(grads[i] - numeric) / denom) <= 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +292,12 @@ def test_train_validates_inputs():
         train(model, np.zeros((4, 3)), XOR_Y)
 
 
-def test_train_batch_matches_single_result_quality():
-    # same descent rule: each batched row classifies like its single-model twin
-    arch = MlpArchitecture(2, 4, 1)
-    stack = np.stack([init_weights(arch, s) for s in range(5)])
-    batch_weights, _ = mlp.train_batch(arch, stack, XOR_X, XOR_Y)
-    for i in range(5):
-        single = train(MlpModel(arch, stack[i]), XOR_X, XOR_Y)
-        batch_preds = classify(MlpModel(arch, batch_weights[i]), XOR_X)
-        single_preds = classify(single, XOR_X)
-        assert np.array_equal(batch_preds, single_preds)
+def test_train_raises_on_divergence():
+    # relu output overflows to inf, so the starting loss is already non-finite
+    arch = MlpArchitecture(2, 2, 1, "relu")
+    model = MlpModel(arch, np.full(arch.weight_count, 1e300))
+    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
+        train(model, XOR_X, XOR_Y)
 
 
 # ---------------------------------------------------------------------------
