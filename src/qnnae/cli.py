@@ -40,22 +40,6 @@ DEFAULTS = {
     "threads": 1,
 }
 
-_TYPES = {
-    "alpha": float,
-    "max_iter": int,
-    "learning_rate": float,
-    "tolerance": float,
-    "samples": int,
-    "seed": int,
-    "train_fraction": float,
-    "hidden_lo": int,
-    "hidden_hi": int,
-    "activation": str,
-    "budget": int,
-    "threads": int,
-}
-
-
 def _load_config_file(path) -> dict:
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -70,7 +54,7 @@ def _load_config_file(path) -> dict:
             if key not in DEFAULTS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _TYPES[key](value.strip())
+                values[key] = type(DEFAULTS[key])(value.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
@@ -169,14 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _map_fn(cfg: dict, executor_holder: list):
-    if cfg["threads"] <= 1:
-        return None
-    executor = ThreadPoolExecutor(max_workers=cfg["threads"])
-    executor_holder.append(executor)
-    return executor.map
-
-
 def _cmd_pqm(args: argparse.Namespace) -> int:
     if args.shots is not None and args.shots < 1:
         raise ValueError(f"--shots must be >= 1, got {args.shots}")
@@ -207,9 +183,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = dataio.load_csv(args.dataset)
     split_spec = dataio.SplitSpec(cfg["train_fraction"], cfg["seed"], stratified=True)
     arch = evaluate.architecture_for(dataset, args.hidden, cfg["activation"])
-    executors: list = []
-    try:
-        map_fn = _map_fn(cfg, executors)
+    with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
+        map_fn = pool.map if cfg["threads"] > 1 else None
         if args.exhaustive:
             levels = tuple(float(v) for v in args.levels.split(","))
             grid = evaluate.WeightGrid(levels, arch.weight_count, cfg["budget"])
@@ -222,9 +197,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 arch, dataset, cfg["samples"], _train_config(cfg),
                 cfg["seed"], split_spec, map_fn,
             )
-    finally:
-        for executor in executors:
-            executor.shutdown()
     print(f"score_p0={report.score_p0:.6f} mean_accuracy={report.mean_accuracy:.6f} "
           f"samples={report.num_samples} excluded={report.excluded}")
     if args.out:
@@ -244,8 +216,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_OK
     dataset = dataio.load_csv(args.dataset)
     split_spec = dataio.SplitSpec(cfg["train_fraction"], cfg["seed"], stratified=True)
-    executors: list = []
-    try:
+    with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
         reports = evaluate.sweep(
             dataset,
             hidden_range=(cfg["hidden_lo"], cfg["hidden_hi"]),
@@ -254,11 +225,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             seed=cfg["seed"],
             split_spec=split_spec,
             activation=cfg["activation"],
-            map_fn=_map_fn(cfg, executors),
+            map_fn=pool.map if cfg["threads"] > 1 else None,
         )
-    finally:
-        for executor in executors:
-            executor.shutdown()
     if args.out:
         evaluate.write_reports_csv(reports, args.out)
     else:

@@ -46,7 +46,6 @@ class BudgetExceededError(RuntimeError):
 @dataclass(frozen=True)
 class PerformanceVector:
     bits: BitString
-    source_weight_index: int = -1
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -65,6 +64,8 @@ class WeightGrid:
     def __post_init__(self):
         if not self.levels:
             raise ValueError("grid levels must be non-empty")
+        if not all(math.isfinite(v) for v in self.levels):
+            raise ValueError(f"grid levels must be finite, got {self.levels}")
         if len(set(self.levels)) != len(self.levels):
             raise ValueError(f"grid levels must be distinct, got {self.levels}")
         if self.weight_count < 1:
@@ -93,14 +94,14 @@ class ArchitectureReport:
 
 
 def performance_vector(
-    model: MlpModel, features: np.ndarray, labels: np.ndarray, source_index: int = -1
+    model: MlpModel, features: np.ndarray, labels: np.ndarray
 ) -> PerformanceVector:
     """Bit j = 1 iff the model classifies validation example j correctly."""
     if len(labels) == 0:
         raise ValueError("validation set must be non-empty")
     predicted = mlp.classify(model, features)
     bits = (np.asarray(predicted) == np.asarray(labels)).astype(int)
-    return PerformanceVector(BitString(bits), source_index)
+    return PerformanceVector(BitString(bits))
 
 
 def _score_from_misses(misses: Sequence[int], t_s: int) -> float:
@@ -119,14 +120,6 @@ def score(performances: Sequence[PerformanceVector], t_s: int) -> float:
         if len(perf) != t_s:
             raise ValueError(f"performance vector length {len(perf)} != t_s {t_s}")
     return _score_from_misses([t_s - sum(perf.bits) for perf in performances], t_s)
-
-
-def estimate_score_shots(p0: float, kappa: int, seed: int = 0) -> float:
-    """Frequency estimate of the score from kappa one-bit algorithm repetitions."""
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
-    rng = np.random.default_rng(seed)
-    return float(np.mean(rng.random(kappa) < p0))
 
 
 def standardized_splits(
@@ -277,37 +270,24 @@ def evaluate_exhaustive(
 def sweep(
     dataset: Dataset,
     hidden_range: Tuple[int, int] = DEFAULT_HIDDEN_RANGE,
-    mode: str = "sampled",
     num_samples: int = DEFAULT_NUM_SAMPLES,
     train_cfg: Optional[TrainConfig] = None,
     seed: int = 0,
     split_spec: Optional[SplitSpec] = None,
     activation: str = "logistic",
-    grid_levels: Tuple[float, ...] = (-1.0, 0.0, 1.0),
-    grid_budget: int = DEFAULT_GRID_BUDGET,
-    train_exhaustive: bool = False,
     map_fn: Optional[Callable] = None,
 ) -> List[ArchitectureReport]:
-    """One report per hidden-neuron count in [lo, hi), ascending."""
+    """One sampled-mode report per hidden-neuron count in [lo, hi), ascending."""
     lo, hi = hidden_range
     if lo < 1 or hi <= lo:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-    reports = []
-    for hidden in range(lo, hi):
-        arch = architecture_for(dataset, hidden, activation)
-        if mode == "sampled":
-            report = evaluate_sampled(
-                arch, dataset, num_samples, train_cfg, seed, split_spec, map_fn
-            )
-        elif mode == "exhaustive":
-            grid = WeightGrid(grid_levels, arch.weight_count, grid_budget)
-            report = evaluate_exhaustive(
-                arch, dataset, grid, train_exhaustive, train_cfg, seed, split_spec, map_fn
-            )
-        else:
-            raise ValueError(f"mode must be 'sampled' or 'exhaustive', got {mode!r}")
-        reports.append(report)
-    return reports
+    return [
+        evaluate_sampled(
+            architecture_for(dataset, hidden, activation), dataset, num_samples,
+            train_cfg, seed, split_spec, map_fn,
+        )
+        for hidden in range(lo, hi)
+    ]
 
 
 REPORT_CSV_HEADER = (

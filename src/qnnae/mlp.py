@@ -334,41 +334,3 @@ def train_batch(
         diverged |= bad
         active &= ~bad
     return w, diverged
-
-
-def save_model(model: MlpModel, path) -> None:
-    """Text format: header `input hidden output activation`, one weight per line.
-
-    When standardization statistics are attached, they follow a `scaler` line as
-    two whitespace-separated rows (mean, scale).
-    """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        a = model.architecture
-        fh.write(f"{a.input_dim} {a.hidden_neurons} {a.output_dim} {a.activation}\n")
-        for v in model.weights:
-            fh.write(f"{float(v)!r}\n")
-        if model.feature_mean is not None:
-            fh.write("scaler\n")
-            fh.write(" ".join(repr(float(v)) for v in model.feature_mean) + "\n")
-            fh.write(" ".join(repr(float(v)) for v in model.feature_scale) + "\n")
-
-
-def load_model(path) -> MlpModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if not lines:
-        raise ValueError(f"{path}: empty model file")
-    parts = lines[0].split()
-    if len(parts) != 4:
-        raise ValueError(f"{path}: bad header {lines[0]!r}")
-    arch = MlpArchitecture(int(parts[0]), int(parts[1]), int(parts[2]), parts[3])
-    body = lines[1:]
-    weights = [float(v) for v in body[: arch.weight_count]]
-    if len(weights) != arch.weight_count:
-        raise ValueError(f"{path}: expected {arch.weight_count} weights")
-    mean = scale = None
-    rest = body[arch.weight_count :]
-    if rest and rest[0] == "scaler":
-        mean = np.array([float(v) for v in rest[1].split()])
-        scale = np.array([float(v) for v in rest[2].split()])
-    return MlpModel(arch, np.array(weights), mean, scale)

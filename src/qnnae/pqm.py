@@ -125,6 +125,8 @@ class PatternMemory:
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from exc
                 strings.append(pattern)
+        if not strings:
+            raise ValueError(f"{path}: no patterns")
         return cls(strings)
 
     @property
@@ -204,13 +206,11 @@ def _prepare_retrieval_state(memory: PatternMemory, input_pattern: BitString) ->
             f"retrieval circuit needs {2 * n + 1} qubits; "
             f"pattern length is limited to {MAX_PATTERN_QUBITS}"
         )
-    p = memory.num_patterns
     control = 2 * n
 
     amps = np.zeros(2 ** (2 * n + 1), dtype=np.complex128)
-    input_index = input_pattern.to_index()
-    for pattern, mult in Counter(memory.patterns).items():
-        amps[input_index + (pattern.to_index() << n)] = math.sqrt(mult / p)
+    memory_index = np.arange(2**n) << n
+    amps[input_pattern.to_index() + memory_index] = prepare_memory_state(memory).amplitudes
     state = qsim.StateVector(2 * n + 1, amps)
 
     for j in range(n):

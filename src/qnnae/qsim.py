@@ -6,8 +6,7 @@ basis index.  Gates mutate the state in place and return it for chaining.
 from __future__ import annotations
 
 import math
-from itertools import product
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,13 +57,6 @@ class StateVector:
         sel = [slice(None)] * self.num_qubits
         sel[self.num_qubits - 1 - q] = value
         return float(np.sum(np.abs(view[tuple(sel)]) ** 2))
-
-    def dump_csv(self, path) -> None:
-        """Debug dump: one line per basis state as `index,real,imag`."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("index,real,imag\n")
-            for i, a in enumerate(self.amplitudes):
-                fh.write(f"{i},{float(a.real)!r},{float(a.imag)!r}\n")
 
     def __repr__(self) -> str:
         return f"StateVector(num_qubits={self.num_qubits})"
@@ -119,20 +111,6 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     return state
 
 
-def apply_toffoli(state: StateVector, c1: int, c2: int, target: int) -> StateVector:
-    for q in (c1, c2, target):
-        _check_qubit(state, q)
-    if len({c1, c2, target}) != 3:
-        raise IndexError("toffoli qubits must be pairwise distinct")
-    view = state.amplitudes.reshape([2] * state.num_qubits)
-    i0 = _slices(state, [(c1, 1), (c2, 1), (target, 0)])
-    i1 = _slices(state, [(c1, 1), (c2, 1), (target, 1)])
-    tmp = view[i0].copy()
-    view[i0] = view[i1]
-    view[i1] = tmp
-    return state
-
-
 def apply_phase(
     state: StateVector,
     q: int,
@@ -152,36 +130,6 @@ def apply_phase(
         fixed.append((control, 1))
     view = state.amplitudes.reshape([2] * state.num_qubits)
     view[_slices(state, fixed)] *= np.exp(1j * angle)
-    return state
-
-
-def apply_oracle(
-    state: StateVector,
-    f: Callable[[Tuple[int, ...]], int],
-    inputs: Sequence[int],
-    output: int,
-) -> StateVector:
-    """|x, y> -> |x, y XOR f(x)>: flip `output` wherever f evaluates to 1.
-
-    `f` receives a tuple of bits ordered as `inputs`.
-    """
-    for q in inputs:
-        _check_qubit(state, q)
-    _check_qubit(state, output)
-    if output in inputs:
-        raise IndexError("output qubit must not be among the inputs")
-    if len(set(inputs)) != len(inputs):
-        raise IndexError("input qubits must be distinct")
-    view = state.amplitudes.reshape([2] * state.num_qubits)
-    for assignment in product((0, 1), repeat=len(inputs)):
-        if not f(assignment):
-            continue
-        fixed = list(zip(inputs, assignment))
-        i0 = _slices(state, fixed + [(output, 0)])
-        i1 = _slices(state, fixed + [(output, 1)])
-        tmp = view[i0].copy()
-        view[i0] = view[i1]
-        view[i1] = tmp
     return state
 
 

@@ -23,6 +23,14 @@ def _axis_range(values: Sequence[float]) -> tuple:
     return lo - pad, hi + pad
 
 
+def _escape(text: str) -> str:
+    """Text content for an SVG element.
+
+    Same result as xml.sax.saxutils.escape, whose import pulls in urllib and ssl.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
@@ -83,15 +91,16 @@ def write_scatter(
         )
     parts.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2}" y="{HEIGHT - 12}" font-size="13" '
-        f'text-anchor="middle">{xlabel}</text>'
+        f'text-anchor="middle">{_escape(xlabel)}</text>'
     )
     parts.append(
         f'<text x="18" y="{MARGIN_TOP + plot_h / 2}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2})">{ylabel}</text>'
+        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2})">{_escape(ylabel)}</text>'
     )
     if title:
         parts.append(
-            f'<text x="{WIDTH / 2}" y="22" font-size="14" text-anchor="middle">{title}</text>'
+            f'<text x="{WIDTH / 2}" y="22" font-size="14" text-anchor="middle">'
+            f'{_escape(title)}</text>'
         )
     for i, (x, y) in enumerate(zip(xs, ys)):
         parts.append(
@@ -101,7 +110,7 @@ def write_scatter(
         if point_labels is not None:
             parts.append(
                 f'<text x="{_fmt(px(x) + 5)}" y="{_fmt(py(y) - 5)}" '
-                f'font-size="9">{point_labels[i]}</text>'
+                f'font-size="9">{_escape(point_labels[i])}</text>'
             )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -1,9 +1,10 @@
 """Command-line interface tests: outputs, exit codes, config precedence."""
+import shutil
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from qnnae import cli, dataio
+from qnnae import cli, dataio, mlp
 
 
 def run(capsys, *argv):
@@ -86,6 +87,10 @@ def test_pqm_parse_error_line_number(tmp_path, capsys):
         code, _, err = run(capsys, "pqm", str(path), "00")
         assert code == 1
         assert f"{path}:{lineno}:" in err
+    path.write_text("# only a comment\n\n")
+    code, _, err = run(capsys, "pqm", str(path), "00")
+    assert code == 1
+    assert f"{path}: no patterns" in err
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +146,20 @@ def test_evaluate_exhaustive_small_grid(xor_csv, capsys):
     assert "samples=32" in out
 
 
+def test_evaluate_exhaustive_rejects_nonfinite_levels(xor_csv, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("classified a grid point")
+
+    monkeypatch.setattr(mlp, "classify", fail)
+    for levels, shown in (("-1,nan", "nan"), ("-1,inf", "inf")):
+        code, out, err = run(
+            capsys, "evaluate", xor_csv, "--hidden", "1", "--exhaustive", f"--levels={levels}"
+        )
+        assert code == 1
+        assert f"grid levels must be finite, got (-1.0, {shown})" in err
+        assert out == ""
+
+
 def test_evaluate_missing_dataset(capsys):
     code, _, err = run(capsys, "evaluate", "/nonexistent.csv", "--hidden", "2")
     assert code == 1
@@ -157,7 +176,10 @@ def test_show_config_reports_defaults(xor_csv, capsys):
 
 def test_config_file_precedence(xor_csv, tmp_path, capsys):
     config = tmp_path / "run.cfg"
-    config.write_text("samples=50\nseed=3\n# comment\nmax_iter=25\n")
+    config.write_text(
+        "samples=50\nseed=3\n# comment\nmax_iter=25\n"
+        "alpha=0.5\ntrain_fraction=0.2\nactivation=tanh\n"
+    )
     code, out, _ = run(
         capsys, "sweep", xor_csv, "--config", str(config), "--samples", "7",
         "--show-config",
@@ -166,11 +188,15 @@ def test_config_file_precedence(xor_csv, tmp_path, capsys):
     assert "samples=7" in out  # flag beats file
     assert "seed=3" in out  # file beats default
     assert "max_iter=25" in out
+    assert "alpha=0.5" in out
+    assert "train_fraction=0.2" in out
+    assert "activation=tanh" in out
 
 
 def test_config_file_bad_key(xor_csv, tmp_path, capsys):
     config = tmp_path / "run.cfg"
-    for text, lineno in (("warp_speed=9\n", 1), ("seed=3\nsamples=abc\n", 2)):
+    cases = (("warp_speed=9\n", 1), ("seed=3\nsamples=abc\n", 2), ("max_iter=2.5\n", 1))
+    for text, lineno in cases:
         config.write_text(text)
         code, _, err = run(capsys, "sweep", xor_csv, "--config", str(config), "--show-config")
         assert code == 1
@@ -195,20 +221,28 @@ def test_threads_must_be_positive(xor_csv, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_sweep_csv_and_plot(xor_csv, tmp_path, capsys):
-    out_path = tmp_path / "sweep.csv"
-    svg_path = tmp_path / "sweep.svg"
-    code, _, _ = run(
-        capsys, "sweep", xor_csv, "--hidden-range", "1", "4", "--samples", "4",
-        "--seed", "1", "--out", str(out_path), "--plot", str(svg_path),
-    )
-    assert code == 0
-    lines = out_path.read_text().splitlines()
-    assert len(lines) == 4  # header + 3 architectures
+    # the plot title is the dataset path, so markup characters in it must be escaped
+    odd_dir = tmp_path / "odd&<dir"
+    odd_dir.mkdir()
+    odd_csv = odd_dir / "x.csv"
+    shutil.copyfile(xor_csv, odd_csv)
+    for dataset in (xor_csv, str(odd_csv)):
+        out_path = tmp_path / "sweep.csv"
+        svg_path = tmp_path / "sweep.svg"
+        code, _, _ = run(
+            capsys, "sweep", dataset, "--hidden-range", "1", "4", "--samples", "4",
+            "--seed", "1", "--out", str(out_path), "--plot", str(svg_path),
+        )
+        assert code == 0
+        lines = out_path.read_text().splitlines()
+        assert len(lines) == 4  # header + 3 architectures
 
-    root = ET.parse(svg_path).getroot()
-    assert root.tag.endswith("svg")
-    circles = root.findall(".//{http://www.w3.org/2000/svg}circle")
-    assert len(circles) == 3
+        root = ET.parse(svg_path).getroot()
+        assert root.tag.endswith("svg")
+        circles = root.findall(".//{http://www.w3.org/2000/svg}circle")
+        assert len(circles) == 3
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert dataset in texts
 
 
 def test_sweep_stdout(xor_csv, capsys):

@@ -1,4 +1,4 @@
-"""Classifier tests: forward pass, gradients, the trainer, persistence."""
+"""Classifier tests: forward pass, gradients, the trainer."""
 import math
 
 import numpy as np
@@ -13,9 +13,7 @@ from qnnae.mlp import (
     classify,
     forward,
     init_weights,
-    load_model,
     loss_and_grad,
-    save_model,
     train,
 )
 
@@ -299,31 +297,3 @@ def test_train_raises_on_divergence():
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
         train(model, XOR_X, XOR_Y)
 
-
-# ---------------------------------------------------------------------------
-# persistence
-# ---------------------------------------------------------------------------
-
-def test_save_load_roundtrip(tmp_path):
-    arch = MlpArchitecture(3, 2, 2, "relu")
-    model = MlpModel(arch, init_weights(arch, 12))
-    path = tmp_path / "model.txt"
-    save_model(model, path)
-    loaded = load_model(path)
-    assert loaded.architecture == arch
-    assert np.array_equal(loaded.weights, model.weights)
-    assert loaded.feature_mean is None
-
-
-def test_save_load_with_scaler(tmp_path):
-    arch = MlpArchitecture(2, 2, 1)
-    model = MlpModel(
-        arch, init_weights(arch, 3), np.array([0.5, -1.0]), np.array([2.0, 0.25])
-    )
-    path = tmp_path / "model.txt"
-    save_model(model, path)
-    loaded = load_model(path)
-    assert np.array_equal(loaded.feature_mean, model.feature_mean)
-    assert np.array_equal(loaded.feature_scale, model.feature_scale)
-    x = np.array([0.7, 0.1])
-    assert forward(loaded, x)[0] == pytest.approx(forward(model, x)[0])

@@ -10,9 +10,7 @@ from qnnae.qsim import (
     StateVector,
     apply_cnot,
     apply_hadamard,
-    apply_oracle,
     apply_phase,
-    apply_toffoli,
     apply_x,
     measure_qubit,
 )
@@ -71,16 +69,6 @@ def test_cnot_basis_action(start, expected):
     assert np.allclose(state.amplitudes, np.eye(4)[expected])
 
 
-@pytest.mark.parametrize(
-    "start,expected",
-    [(0b110, 0b111), (0b100, 0b100), (0b111, 0b110)],
-)
-def test_toffoli_basis_action(start, expected):
-    state = StateVector.from_basis_state(3, start)
-    apply_toffoli(state, c1=2, c2=1, target=0)
-    assert np.allclose(state.amplitudes, np.eye(8)[expected])
-
-
 def test_phase_zero_angle_is_identity():
     state = random_state(3, 7)
     before = state.amplitudes.copy()
@@ -110,45 +98,6 @@ def test_controlled_phase_needs_control_set():
 
 
 # ---------------------------------------------------------------------------
-# oracle
-# ---------------------------------------------------------------------------
-
-def test_oracle_identity_function():
-    state = StateVector(2)
-    apply_hadamard(state, 1)  # (|00> + |10>)/sqrt2, input qubit 1, output qubit 0
-    apply_oracle(state, lambda bits: bits[0], inputs=[1], output=0)
-    expected = np.zeros(4)
-    expected[0b00] = SQRT2_INV
-    expected[0b11] = SQRT2_INV
-    assert np.allclose(state.amplitudes, expected)
-
-
-def test_oracle_constant_zero_is_identity():
-    state = random_state(3, 11)
-    before = state.amplitudes.copy()
-    apply_oracle(state, lambda bits: 0, inputs=[0, 1], output=2)
-    assert np.allclose(state.amplitudes, before)
-
-
-def test_oracle_and_matches_toffoli():
-    # compare the full 8x8 action column by column
-    for basis in range(8):
-        via_oracle = StateVector.from_basis_state(3, basis)
-        apply_oracle(via_oracle, lambda bits: bits[0] & bits[1], inputs=[2, 1], output=0)
-        via_toffoli = StateVector.from_basis_state(3, basis)
-        apply_toffoli(via_toffoli, 2, 1, 0)
-        assert np.allclose(via_oracle.amplitudes, via_toffoli.amplitudes)
-
-
-def test_oracle_permutes_amplitudes():
-    state = random_state(4, 13)
-    before = sorted(np.round(state.amplitudes, 12), key=lambda z: (z.real, z.imag))
-    apply_oracle(state, lambda bits: bits[0] ^ bits[1], inputs=[3, 1], output=0)
-    after = sorted(np.round(state.amplitudes, 12), key=lambda z: (z.real, z.imag))
-    assert np.allclose(before, after)
-
-
-# ---------------------------------------------------------------------------
 # error handling
 # ---------------------------------------------------------------------------
 
@@ -165,11 +114,7 @@ def test_equal_indices_rejected():
     with pytest.raises(IndexError):
         apply_cnot(state, 1, 1)
     with pytest.raises(IndexError):
-        apply_toffoli(state, 0, 0, 1)
-    with pytest.raises(IndexError):
         apply_phase(state, 2, 0.1, control=2)
-    with pytest.raises(IndexError):
-        apply_oracle(state, lambda b: 0, inputs=[0, 1], output=1)
 
 
 def test_bad_constructor():
@@ -189,7 +134,7 @@ def test_gates_preserve_norm_and_invert(seed, num_qubits, data):
     state = random_state(num_qubits, seed)
     original = state.amplitudes.copy()
     qubits = st.integers(0, num_qubits - 1)
-    gate = data.draw(st.sampled_from(["h", "x", "cnot", "toffoli", "phase"]))
+    gate = data.draw(st.sampled_from(["h", "x", "cnot", "phase"]))
     if gate == "h":
         q = data.draw(qubits)
         apply_hadamard(state, q)
@@ -209,13 +154,6 @@ def test_gates_preserve_norm_and_invert(seed, num_qubits, data):
         apply_cnot(state, c, t)
         assert abs(state.norm_sq() - 1) <= 1e-10
         apply_cnot(state, c, t)
-    elif gate == "toffoli":
-        if num_qubits < 3:
-            return
-        a, b, t = data.draw(st.lists(qubits, min_size=3, max_size=3, unique=True))
-        apply_toffoli(state, a, b, t)
-        assert abs(state.norm_sq() - 1) <= 1e-10
-        apply_toffoli(state, a, b, t)
     else:
         q = data.draw(qubits)
         angle = data.draw(st.floats(-10, 10, allow_nan=False))
@@ -274,10 +212,3 @@ def test_measure_collapses_and_renormalizes():
     assert abs(post.norm_sq() - 1) <= 1e-10
     assert post.probability(0, outcome) == pytest.approx(1.0)
 
-
-def test_dump_csv(tmp_path):
-    path = tmp_path / "amps.csv"
-    apply_hadamard(StateVector(1), 0).dump_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,real,imag"
-    assert len(lines) == 3
