@@ -16,10 +16,10 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import dataio, evaluate, pqm, svgplot
-from .mlp import TrainConfig
+from .mlp import ACTIVATIONS, TrainConfig
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -57,11 +57,20 @@ def _load_config_file(path) -> dict:
                 values[key] = type(DEFAULTS[key])(value.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+            if key == "activation" and values[key] not in ACTIVATIONS:
+                raise ValueError(
+                    f"{path}:{lineno}: bad value for activation: "
+                    f"must be one of {ACTIVATIONS}, got {values[key]!r}"
+                )
     return values
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """Apply flag > config-file > default precedence for the shared options."""
+def _resolve(args: argparse.Namespace) -> Tuple[dict, TrainConfig, dataio.SplitSpec]:
+    """Apply flag > config-file > default precedence for the shared options.
+
+    Also builds the training settings and the split, so that bad settings
+    are rejected before any data is read.
+    """
     from_file = _load_config_file(args.config) if getattr(args, "config", None) else {}
     cfg = dict(DEFAULTS)
     cfg.update(from_file)
@@ -71,7 +80,16 @@ def _resolve(args: argparse.Namespace) -> dict:
             cfg[key] = flag_value
     if cfg["threads"] < 1:
         raise ValueError(f"threads must be >= 1, got {cfg['threads']}")
-    return cfg
+    if cfg["samples"] < 1:
+        raise ValueError(f"samples must be >= 1, got {cfg['samples']}")
+    train_cfg = TrainConfig(
+        max_iter=cfg["max_iter"],
+        l2_alpha=cfg["alpha"],
+        learning_rate=cfg["learning_rate"],
+        tolerance=cfg["tolerance"],
+    )
+    split_spec = dataio.SplitSpec(cfg["train_fraction"], cfg["seed"], stratified=True)
+    return cfg, train_cfg, split_spec
 
 
 def _config_summary(cfg: dict) -> str:
@@ -81,15 +99,6 @@ def _config_summary(cfg: dict) -> str:
         f"samples={cfg['samples']} hidden_range=[{cfg['hidden_lo']},{cfg['hidden_hi']}) "
         f"train_fraction={cfg['train_fraction']} activation={cfg['activation']} "
         f"seed={cfg['seed']} threads={cfg['threads']}"
-    )
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        max_iter=cfg["max_iter"],
-        l2_alpha=cfg["alpha"],
-        learning_rate=cfg["learning_rate"],
-        tolerance=cfg["tolerance"],
     )
 
 
@@ -103,7 +112,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="master RNG seed (default 0)")
     parser.add_argument("--train-fraction", dest="train_fraction", type=float,
                         help="train split fraction (default 0.1)")
-    parser.add_argument("--activation", choices=("logistic", "tanh", "relu"))
+    parser.add_argument("--activation", choices=ACTIVATIONS)
     parser.add_argument("--threads", type=int, help="worker threads (default 1)")
     parser.add_argument("--show-config", action="store_true",
                         help="print the effective configuration and exit")
@@ -176,12 +185,11 @@ def _cmd_pqm(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+    cfg, train_cfg, split_spec = _resolve(args)
     if args.show_config:
         print(_config_summary(cfg))
         return EXIT_OK
     dataset = dataio.load_csv(args.dataset)
-    split_spec = dataio.SplitSpec(cfg["train_fraction"], cfg["seed"], stratified=True)
     arch = evaluate.architecture_for(dataset, args.hidden, cfg["activation"])
     with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
         map_fn = pool.map if cfg["threads"] > 1 else None
@@ -189,12 +197,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             levels = tuple(float(v) for v in args.levels.split(","))
             grid = evaluate.WeightGrid(levels, arch.weight_count, cfg["budget"])
             report = evaluate.evaluate_exhaustive(
-                arch, dataset, grid, args.train_grid, _train_config(cfg),
+                arch, dataset, grid, args.train_grid, train_cfg,
                 cfg["seed"], split_spec, map_fn,
             )
         else:
             report = evaluate.evaluate_sampled(
-                arch, dataset, cfg["samples"], _train_config(cfg),
+                arch, dataset, cfg["samples"], train_cfg,
                 cfg["seed"], split_spec, map_fn,
             )
     print(f"score_p0={report.score_p0:.6f} mean_accuracy={report.mean_accuracy:.6f} "
@@ -208,20 +216,19 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+    cfg, train_cfg, split_spec = _resolve(args)
     if args.hidden_range is not None:
         cfg["hidden_lo"], cfg["hidden_hi"] = args.hidden_range
     if args.show_config:
         print(_config_summary(cfg))
         return EXIT_OK
     dataset = dataio.load_csv(args.dataset)
-    split_spec = dataio.SplitSpec(cfg["train_fraction"], cfg["seed"], stratified=True)
     with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
         reports = evaluate.sweep(
             dataset,
             hidden_range=(cfg["hidden_lo"], cfg["hidden_hi"]),
             num_samples=cfg["samples"],
-            train_cfg=_train_config(cfg),
+            train_cfg=train_cfg,
             seed=cfg["seed"],
             split_spec=split_spec,
             activation=cfg["activation"],

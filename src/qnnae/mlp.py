@@ -58,6 +58,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        for name in ("l2_alpha", "learning_rate", "tolerance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.l2_alpha < 0:
             raise ValueError(f"l2_alpha must be >= 0, got {self.l2_alpha}")
         if self.learning_rate <= 0:
@@ -209,9 +212,9 @@ def _batched_scores(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Hidden activations and raw scores for a stack of models; shapes (S,n,h), (S,n,o)."""
     w1, w2 = _batched_unpack(arch, w)
-    z1 = np.einsum("nd,sdh->snh", x, w1[:, :-1]) + w1[:, -1][:, None, :]
+    z1 = x @ w1[:, :-1] + w1[:, -1][:, None, :]
     hidden = _activate(z1, arch.activation)
-    scores = np.einsum("snh,sho->sno", hidden, w2[:, :-1]) + w2[:, -1][:, None, :]
+    scores = hidden @ w2[:, :-1] + w2[:, -1][:, None, :]
     return hidden, scores
 
 
@@ -255,11 +258,11 @@ def batched_loss_and_grad(
     n1 = (arch.input_dim + 1) * arch.hidden_neurons
     gw1 = grad[:, :n1].reshape(w1.shape)
     gw2 = grad[:, n1:].reshape(w2.shape)
-    gw2[:, :-1] = np.einsum("snh,sno->sho", hidden, dz)
+    gw2[:, :-1] = hidden.transpose(0, 2, 1) @ dz
     gw2[:, -1] = dz.sum(axis=1)
-    dh = np.einsum("sno,sho->snh", dz, w2[:, :-1])
+    dh = dz @ w2[:, :-1].transpose(0, 2, 1)
     dh *= _activation_grad(hidden, arch.activation)
-    gw1[:, :-1] = np.einsum("nd,snh->sdh", x, dh)
+    gw1[:, :-1] = x.T @ dh
     gw1[:, -1] = dh.sum(axis=1)
     grad += l2_alpha * w
     return loss, grad

@@ -195,12 +195,48 @@ def test_config_file_precedence(xor_csv, tmp_path, capsys):
 
 def test_config_file_bad_key(xor_csv, tmp_path, capsys):
     config = tmp_path / "run.cfg"
-    cases = (("warp_speed=9\n", 1), ("seed=3\nsamples=abc\n", 2), ("max_iter=2.5\n", 1))
+    cases = (
+        ("warp_speed=9\n", 1),
+        ("seed=3\nsamples=abc\n", 2),
+        ("max_iter=2.5\n", 1),
+        ("seed=3\nactivation=softplus\n", 2),
+    )
     for text, lineno in cases:
         config.write_text(text)
-        code, _, err = run(capsys, "sweep", xor_csv, "--config", str(config), "--show-config")
+        code, out, err = run(capsys, "sweep", xor_csv, "--config", str(config), "--show-config")
         assert code == 1
         assert f"{config}:{lineno}:" in err
+        assert out == ""
+    assert "bad value for activation" in err and "'softplus'" in err
+
+
+@pytest.mark.parametrize(
+    "key, flag, value, message",
+    [
+        ("tolerance", "--tolerance", "nan", "tolerance must be finite, got nan"),
+        ("alpha", "--alpha", "nan", "l2_alpha must be finite, got nan"),
+        ("learning_rate", "--learning-rate", "inf", "learning_rate must be finite, got inf"),
+        ("samples", "--samples", "0", "samples must be >= 1, got 0"),
+        ("train_fraction", "--train-fraction", "1.0", "train_fraction must be in (0,1), got 1.0"),
+        ("train_fraction", "--train-fraction", "nan", "train_fraction must be in (0,1), got nan"),
+    ],
+)
+def test_bad_training_settings_rejected_before_loading(
+    xor_csv, tmp_path, capsys, monkeypatch, key, flag, value, message
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("loaded the dataset")
+
+    monkeypatch.setattr(dataio, "load_csv", fail)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key}={value}\n")
+    for command in (["sweep", xor_csv], ["evaluate", xor_csv, "--hidden", "2"]):
+        for extra in ([flag, value], ["--config", str(config)]):
+            for show in ([], ["--show-config"]):
+                code, out, err = run(capsys, *command, *extra, *show)
+                assert code == 1
+                assert message in err
+                assert out == ""
 
 
 def test_threads_must_be_positive(xor_csv, tmp_path, capsys):

@@ -203,7 +203,8 @@ def test_batched_loss_and_grad_match_reference():
     # the kernels against the plain-loop reference loss and its central differences
     rng = np.random.default_rng(17)
     l2, eps = 1e-4, 1e-5
-    for output_dim, activation in ((1, "logistic"), (3, "tanh")):
+    cases = ((1, "logistic"), (1, "relu"), (3, "logistic"), (3, "tanh"))
+    for output_dim, activation in cases:
         arch = MlpArchitecture(3, 4, output_dim, activation)
         stack = np.stack([init_weights(arch, s) for s in range(4)])
         x = rng.normal(size=(9, 3))
@@ -277,6 +278,32 @@ def test_l2_shrinks_weights():
     free = train(model, XOR_X, XOR_Y, TrainConfig(max_iter=200, l2_alpha=0.0))
     penalized = train(model, XOR_X, XOR_Y, TrainConfig(max_iter=200, l2_alpha=1e3))
     assert np.linalg.norm(penalized.weights) < np.linalg.norm(free.weights)
+
+
+@pytest.mark.parametrize(
+    "output_dim, activation", [(1, "logistic"), (3, "tanh"), (1, "relu")]
+)
+def test_train_batch_rows_independent_of_stack_size(output_dim, activation):
+    # a row trains to the same bits alone or inside a stack, so reports cannot
+    # depend on how samples are chunked
+    rng = np.random.default_rng(5)
+    arch = MlpArchitecture(2, 3, output_dim, activation)
+    x = rng.normal(size=(30, 2))
+    y = rng.integers(0, arch.num_classes, 30)
+    stack = np.stack([init_weights(arch, s) for s in range(5)])
+    cfg = TrainConfig(max_iter=150)
+    together, diverged = mlp.train_batch(arch, stack, x, y, cfg)
+    assert not diverged.any()
+    for i in range(len(stack)):
+        alone, _ = mlp.train_batch(arch, stack[i : i + 1], x, y, cfg)
+        assert np.array_equal(alone[0], together[i])
+
+
+@pytest.mark.parametrize("field", ["l2_alpha", "learning_rate", "tolerance"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_train_config_rejects_nonfinite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TrainConfig(**{field: value})
 
 
 def test_train_validates_inputs():
