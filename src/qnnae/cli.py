@@ -219,6 +219,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg, train_cfg, split_spec = _resolve(args)
     if args.hidden_range is not None:
         cfg["hidden_lo"], cfg["hidden_hi"] = args.hidden_range
+    evaluate.check_hidden_range(cfg["hidden_lo"], cfg["hidden_hi"])
     if args.show_config:
         print(_config_summary(cfg))
         return EXIT_OK

@@ -267,6 +267,12 @@ def evaluate_exhaustive(
     )
 
 
+def check_hidden_range(lo: int, hi: int) -> None:
+    """Reject a hidden-neuron range [lo, hi) that is empty or starts below 1."""
+    if lo < 1 or hi <= lo:
+        raise ValueError(f"hidden range needs 1 <= lo < hi, got [{lo}, {hi})")
+
+
 def sweep(
     dataset: Dataset,
     hidden_range: Tuple[int, int] = DEFAULT_HIDDEN_RANGE,
@@ -279,8 +285,7 @@ def sweep(
 ) -> List[ArchitectureReport]:
     """One sampled-mode report per hidden-neuron count in [lo, hi), ascending."""
     lo, hi = hidden_range
-    if lo < 1 or hi <= lo:
-        raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
+    check_hidden_range(lo, hi)
     return [
         evaluate_sampled(
             architecture_for(dataset, hidden, activation), dataset, num_samples,

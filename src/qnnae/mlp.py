@@ -99,7 +99,13 @@ def init_weights(arch: MlpArchitecture, rng_seed: int) -> np.ndarray:
 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     if activation == "logistic":
-        return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+        # 1 / (1 + exp(-clip(z, -500, 500))) in one buffer
+        a = np.maximum(z, -500.0)
+        np.minimum(a, 500.0, out=a)
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+        a += 1.0
+        return np.divide(1.0, a, out=a)
     if activation == "tanh":
         return np.tanh(z)
     return np.maximum(z, 0.0)
@@ -219,33 +225,68 @@ def _batched_scores(
 
 
 def _batched_data_loss(arch: MlpArchitecture, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    n = z.shape[1]
     if arch.output_dim == 1:
         z0 = z[..., 0]
-        return np.mean(np.logaddexp(0.0, z0) - y[None, :] * z0, axis=1)
+        t = np.logaddexp(0.0, z0)
+        t -= y * z0
+        return np.add.reduce(t, axis=1) / n
     zmax = z.max(axis=2, keepdims=True)
-    lse = zmax[..., 0] + np.log(np.sum(np.exp(z - zmax), axis=2))
-    correct = np.take_along_axis(
-        z, np.broadcast_to(y[None, :, None], z.shape[:2] + (1,)), axis=2
-    )[..., 0]
-    return np.mean(lse - correct, axis=1)
+    e = z - zmax
+    np.exp(e, out=e)
+    t = np.log(np.add.reduce(e, axis=2))
+    t += zmax[..., 0]
+    t -= z[:, np.arange(n), y]
+    return np.add.reduce(t, axis=1) / n
+
+
+def _batched_forward(
+    arch: MlpArchitecture, w: np.ndarray, x: np.ndarray, y: np.ndarray, l2_alpha: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-model losses, hidden activations and raw scores for a (S, weight_count) stack."""
+    hidden, z = _batched_scores(arch, w, x)
+    loss = _batched_data_loss(arch, z, y) + 0.5 * l2_alpha * np.sum(w * w, axis=1)
+    return loss, hidden, z
 
 
 def batched_loss(
-    arch: MlpArchitecture, w: np.ndarray, x: np.ndarray, y: np.ndarray, l2_alpha: float
-) -> np.ndarray:
-    """Per-model losses for a (S, weight_count) stack."""
-    _, z = _batched_scores(arch, w, x)
-    return _batched_data_loss(arch, z, y) + 0.5 * l2_alpha * np.sum(w * w, axis=1)
+    arch: MlpArchitecture,
+    w: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    l2_alpha: float,
+    *,
+    return_forward: bool = False,
+):
+    """Per-model losses for a (S, weight_count) stack.
+
+    With `return_forward`, returns `(loss, hidden, z)` instead: the forward
+    state that `batched_loss_and_grad(..., forward=)` accepts for these rows.
+    """
+    forward_state = _batched_forward(arch, w, x, y, l2_alpha)
+    return forward_state if return_forward else forward_state[0]
 
 
 def batched_loss_and_grad(
-    arch: MlpArchitecture, w: np.ndarray, x: np.ndarray, y: np.ndarray, l2_alpha: float
+    arch: MlpArchitecture,
+    w: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    l2_alpha: float,
+    *,
+    forward: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-model losses and their analytic gradients for a (S, weight_count) stack."""
+    """Per-model losses and their analytic gradients for a (S, weight_count) stack.
+
+    `forward` is the `(loss, hidden, z)` of these same rows, as returned by
+    `batched_loss(..., return_forward=True)`; given it, the forward pass is
+    not run again.
+    """
     n = x.shape[0]
     w1, w2 = _batched_unpack(arch, w)
-    hidden, z = _batched_scores(arch, w, x)
-    loss = _batched_data_loss(arch, z, y) + 0.5 * l2_alpha * np.sum(w * w, axis=1)
+    loss, hidden, z = forward if forward is not None else _batched_forward(
+        arch, w, x, y, l2_alpha
+    )
     if arch.output_dim == 1:
         dz = (_activate(z[..., 0], "logistic") - y[None, :])[..., None] / n
     else:
@@ -299,6 +340,11 @@ def train_batch(
     loss, grad = batched_loss_and_grad(arch, w, x, y, config.l2_alpha)
     diverged = ~np.isfinite(loss)
     active = ~diverged
+    # forward state of the accepted trial rows, so the gradient call skips
+    # their forward pass; a row is read only in the iteration that wrote it
+    loss_next = np.empty(s)
+    hidden_next = np.empty((s, x.shape[0], arch.hidden_neurons))
+    z_next = np.empty((s, x.shape[0], arch.output_dim))
     for _ in range(config.max_iter):
         gnorm_sq = np.sum(grad * grad, axis=1)
         active &= np.sqrt(gnorm_sq) >= config.tolerance
@@ -310,15 +356,21 @@ def train_batch(
         w_next = w.copy()
         while searching.any():
             w_try = w[searching] - step[searching, None] * grad[searching]
-            loss_try = batched_loss(arch, w_try, x, y, config.l2_alpha)
+            loss_try, hidden_try, z_try = batched_loss(
+                arch, w_try, x, y, config.l2_alpha, return_forward=True
+            )
             ok = np.isfinite(loss_try) & (
                 loss_try
                 <= loss[searching] - 1e-4 * step[searching] * gnorm_sq[searching]
             )
             idx = np.flatnonzero(searching)
-            w_next[idx[ok]] = w_try[ok]
-            accepted[idx[ok]] = True
-            searching[idx[ok]] = False
+            rows = idx[ok]
+            w_next[rows] = w_try[ok]
+            loss_next[rows] = loss_try[ok]
+            hidden_next[rows] = hidden_try[ok]
+            z_next[rows] = z_try[ok]
+            accepted[rows] = True
+            searching[rows] = False
             step[idx[~ok]] *= 0.5
             exhausted = searching & (step < 1e-14)
             active[exhausted] = False  # no descent step: converged
@@ -328,7 +380,8 @@ def train_batch(
         w = w_next
         acc_idx = np.flatnonzero(accepted)
         loss_new, grad_new = batched_loss_and_grad(
-            arch, w[acc_idx], x, y, config.l2_alpha
+            arch, w[acc_idx], x, y, config.l2_alpha,
+            forward=(loss_next[acc_idx], hidden_next[acc_idx], z_next[acc_idx]),
         )
         loss[acc_idx] = loss_new
         grad[acc_idx] = grad_new

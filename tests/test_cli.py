@@ -239,6 +239,24 @@ def test_bad_training_settings_rejected_before_loading(
                 assert out == ""
 
 
+@pytest.mark.parametrize("lo, hi", [(3, 3), (0, 2), (5, 2)])
+def test_bad_hidden_range_rejected_before_loading(
+    xor_csv, tmp_path, capsys, monkeypatch, lo, hi
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("loaded the dataset")
+
+    monkeypatch.setattr(dataio, "load_csv", fail)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"hidden_lo={lo}\nhidden_hi={hi}\n")
+    for extra in (["--hidden-range", str(lo), str(hi)], ["--config", str(config)]):
+        for show in ([], ["--show-config"]):
+            code, out, err = run(capsys, "sweep", xor_csv, *extra, *show)
+            assert code == 1
+            assert f"hidden range needs 1 <= lo < hi, got [{lo}, {hi})" in err
+            assert out == ""
+
+
 def test_threads_must_be_positive(xor_csv, tmp_path, capsys):
     config = tmp_path / "run.cfg"
     for value in ("0", "-2"):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qnnae import mlp
 from qnnae.mlp import (
@@ -211,6 +213,14 @@ def test_batched_loss_and_grad_match_reference():
         y = rng.integers(0, arch.num_classes, 9)
         losses = mlp.batched_loss(arch, stack, x, y, l2)
         grad_losses, grads = mlp.batched_loss_and_grad(arch, stack, x, y, l2)
+        # the gradient from a reused forward state is the same to the bit
+        state = mlp.batched_loss(arch, stack, x, y, l2, return_forward=True)
+        assert np.array_equal(state[0], losses)
+        reused_losses, reused_grads = mlp.batched_loss_and_grad(
+            arch, stack, x, y, l2, forward=state
+        )
+        assert np.array_equal(reused_losses, grad_losses)
+        assert np.array_equal(reused_grads, grads)
         for i, w in enumerate(stack):
             expected = reference_loss(arch, w, x, y, l2)
             assert losses[i] == pytest.approx(expected, rel=1e-12)
@@ -324,3 +334,165 @@ def test_train_raises_on_divergence():
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
         train(model, XOR_X, XOR_Y)
 
+
+
+# ---------------------------------------------------------------------------
+# trimmed kernels against the plain formulas, bit for bit
+# ---------------------------------------------------------------------------
+
+# finite floats (including 0.0 and |z| > 500, where the logistic clip acts)
+# plus the infinities
+Z_VALUES = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 500.0, -500.0, 500.5, -750.0, math.inf, -math.inf]),
+)
+
+
+def plain_data_loss(z, y):
+    """Mean cross-entropy per model, written with the plain numpy formulas."""
+    if z.shape[2] == 1:
+        z0 = z[..., 0]
+        return np.mean(np.logaddexp(0.0, z0) - y[None, :] * z0, axis=1)
+    zmax = z.max(axis=2, keepdims=True)
+    lse = zmax[..., 0] + np.log(np.sum(np.exp(z - zmax), axis=2))
+    correct = np.take_along_axis(
+        z, np.broadcast_to(y[None, :, None], z.shape[:2] + (1,)), axis=2
+    )[..., 0]
+    return np.mean(lse - correct, axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=6),
+                    elements=Z_VALUES))
+def test_activate_matches_plain_formulas(z):
+    before = z.copy()
+    with np.errstate(all="ignore"):
+        expected = {
+            "logistic": 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))),
+            "tanh": np.tanh(z),
+            "relu": np.maximum(z, 0.0),
+        }
+        for activation, want in expected.items():
+            got = mlp._activate(z, activation)
+            assert np.array_equal(got, want, equal_nan=True), activation
+    assert np.array_equal(z, before)  # the input is not overwritten
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), output_dim=st.sampled_from([1, 3]),
+       s=st.integers(1, 4), n=st.integers(1, 6))
+def test_batched_data_loss_matches_plain_formulas(data, output_dim, s, n):
+    z = data.draw(hnp.arrays(np.float64, (s, n, output_dim), elements=Z_VALUES))
+    num_classes = 2 if output_dim == 1 else output_dim
+    y = np.array(data.draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n)))
+    if output_dim == 1:
+        y = y.astype(np.float64)
+    arch = MlpArchitecture(2, 1, output_dim)
+    with np.errstate(all="ignore"):
+        got = mlp._batched_data_loss(arch, z, y)
+        want = plain_data_loss(z, y)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# the trainer against a reference that recomputes every forward pass
+# ---------------------------------------------------------------------------
+
+def reference_train_batch(arch, weights, x, y, config):
+    """Armijo trainer that reruns the forward pass inside every gradient call."""
+    w = np.array(weights, dtype=np.float64)
+    y = y.astype(np.float64) if arch.output_dim == 1 else y
+    s = w.shape[0]
+    step = np.full(s, config.learning_rate)
+    loss, grad = mlp.batched_loss_and_grad(arch, w, x, y, config.l2_alpha)
+    diverged = ~np.isfinite(loss)
+    active = ~diverged
+    for _ in range(config.max_iter):
+        gnorm_sq = np.sum(grad * grad, axis=1)
+        active &= np.sqrt(gnorm_sq) >= config.tolerance
+        if not active.any():
+            break
+        step = np.minimum(step * 2.0, 1e6)
+        searching = active.copy()
+        accepted = np.zeros(s, dtype=bool)
+        w_next = w.copy()
+        while searching.any():
+            w_try = w[searching] - step[searching, None] * grad[searching]
+            loss_try = mlp.batched_loss(arch, w_try, x, y, config.l2_alpha)
+            ok = np.isfinite(loss_try) & (
+                loss_try
+                <= loss[searching] - 1e-4 * step[searching] * gnorm_sq[searching]
+            )
+            idx = np.flatnonzero(searching)
+            w_next[idx[ok]] = w_try[ok]
+            accepted[idx[ok]] = True
+            searching[idx[ok]] = False
+            step[idx[~ok]] *= 0.5
+            exhausted = searching & (step < 1e-14)
+            active[exhausted] = False
+            searching[exhausted] = False
+        if not accepted.any():
+            continue
+        w = w_next
+        acc_idx = np.flatnonzero(accepted)
+        loss_new, grad_new = mlp.batched_loss_and_grad(
+            arch, w[acc_idx], x, y, config.l2_alpha
+        )
+        loss[acc_idx] = loss_new
+        grad[acc_idx] = grad_new
+        bad = np.zeros(s, dtype=bool)
+        bad[acc_idx] = ~np.isfinite(loss_new) | ~np.isfinite(grad_new).all(axis=1)
+        diverged |= bad
+        active &= ~bad
+    return w, diverged
+
+
+def _training_problem(output_dim, activation, rows):
+    arch = MlpArchitecture(2, 3, output_dim, activation)
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(30, 2))
+    y = rng.integers(0, arch.num_classes, 30)
+    stack = np.stack([init_weights(arch, s) for s in range(rows)])
+    return arch, x, y, stack
+
+
+@pytest.mark.parametrize(
+    "output_dim, activation", [(1, "logistic"), (3, "tanh"), (1, "relu")]
+)
+def test_train_batch_matches_reference_trainer(output_dim, activation):
+    arch, x, y, stack = _training_problem(output_dim, activation, rows=6)
+    cfg = TrainConfig(max_iter=150)
+    got_w, got_diverged = mlp.train_batch(arch, stack, x, y, cfg)
+    want_w, want_diverged = reference_train_batch(arch, stack, x, y, cfg)
+    assert np.array_equal(got_w, want_w)
+    assert np.array_equal(got_diverged, want_diverged)
+    assert not got_diverged.any()
+
+
+def test_train_batch_matches_reference_trainer_with_diverging_rows(monkeypatch):
+    # An accepted trial always has a finite loss, so a row diverges after a
+    # step only when its gradient overflows.  Force that: every row whose loss
+    # drops below a threshold gets an infinite gradient entry, in both trainers.
+    arch, x, y, stack = _training_problem(1, "relu", rows=6)
+    stack[4] = 1e300  # starting loss already non-finite
+    cfg = TrainConfig(max_iter=150, learning_rate=1e6)
+    kernel = mlp.batched_loss_and_grad
+    threshold = 0.62
+
+    def overflowing(arch, w, x, y, l2_alpha, **kwargs):
+        loss, grad = kernel(arch, w, x, y, l2_alpha, **kwargs)
+        grad[loss < threshold, 0] = np.inf
+        return loss, grad
+
+    monkeypatch.setattr(mlp, "batched_loss_and_grad", overflowing)
+    with np.errstate(all="ignore"):
+        initial = mlp.batched_loss(arch, stack, x, y.astype(np.float64), cfg.l2_alpha)
+        got_w, got_diverged = mlp.train_batch(arch, stack, x, y, cfg)
+        want_w, want_diverged = reference_train_batch(arch, stack, x, y, cfg)
+    assert np.array_equal(got_w, want_w)
+    assert np.array_equal(got_diverged, want_diverged)
+    assert got_diverged[4]
+    # some rows went bad after an accepted step, some never did
+    mid_training = got_diverged & np.isfinite(initial)
+    assert mid_training.any() and not got_diverged.all()
