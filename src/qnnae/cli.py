@@ -184,8 +184,22 @@ def _cmd_pqm(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parse_levels(text: str) -> Tuple[float, ...]:
+    try:
+        levels = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"--levels must be comma-separated numbers, got {text!r}") from None
+    evaluate.check_grid_levels(levels)
+    return levels
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     cfg, train_cfg, split_spec = _resolve(args)
+    if args.hidden < 1:
+        raise ValueError(f"--hidden must be >= 1, got {args.hidden}")
+    if cfg["budget"] < 1:
+        raise ValueError(f"budget must be >= 1, got {cfg['budget']}")
+    levels = _parse_levels(args.levels) if args.exhaustive else None
     if args.show_config:
         print(_config_summary(cfg))
         return EXIT_OK
@@ -194,7 +208,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
         map_fn = pool.map if cfg["threads"] > 1 else None
         if args.exhaustive:
-            levels = tuple(float(v) for v in args.levels.split(","))
             grid = evaluate.WeightGrid(levels, arch.weight_count, cfg["budget"])
             report = evaluate.evaluate_exhaustive(
                 arch, dataset, grid, args.train_grid, train_cfg,

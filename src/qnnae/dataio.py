@@ -196,6 +196,8 @@ def make_synthetic(kind: str, n: int, noise: float = 0.2, seed: int = 0) -> Data
         raise ValueError(f"kind must be one of {SYNTHETIC_KINDS}, got {kind!r}")
     if n < 8:
         raise ValueError(f"need n >= 8, got {n}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     features = np.empty((n, 2))
     labels = np.empty(n, dtype=np.int64)

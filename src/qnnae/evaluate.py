@@ -62,12 +62,7 @@ class WeightGrid:
     budget: int = DEFAULT_GRID_BUDGET
 
     def __post_init__(self):
-        if not self.levels:
-            raise ValueError("grid levels must be non-empty")
-        if not all(math.isfinite(v) for v in self.levels):
-            raise ValueError(f"grid levels must be finite, got {self.levels}")
-        if len(set(self.levels)) != len(self.levels):
-            raise ValueError(f"grid levels must be distinct, got {self.levels}")
+        check_grid_levels(self.levels)
         if self.weight_count < 1:
             raise ValueError("weight_count must be >= 1")
 
@@ -265,6 +260,16 @@ def evaluate_exhaustive(
     return evaluate_weight_list(
         arch, dataset, weights, train, train_cfg, spec, seed, "exhaustive", map_fn
     )
+
+
+def check_grid_levels(levels: Tuple[float, ...]) -> None:
+    """Reject grid levels that are empty, non-finite or repeated."""
+    if not levels:
+        raise ValueError("grid levels must be non-empty")
+    if not all(math.isfinite(v) for v in levels):
+        raise ValueError(f"grid levels must be finite, got {levels}")
+    if len(set(levels)) != len(levels):
+        raise ValueError(f"grid levels must be distinct, got {levels}")
 
 
 def check_hidden_range(lo: int, hi: int) -> None:

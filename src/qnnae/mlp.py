@@ -114,9 +114,12 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
 def _activation_grad(a: np.ndarray, activation: str) -> np.ndarray:
     # derivative expressed through the activation value; relu uses a > 0
     if activation == "logistic":
-        return a * (1.0 - a)
+        t = 1.0 - a
+        t *= a
+        return t
     if activation == "tanh":
-        return 1.0 - a * a
+        t = a * a
+        return np.subtract(1.0, t, out=t)
     return (a > 0.0).astype(np.float64)
 
 
@@ -218,10 +221,33 @@ def _batched_scores(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Hidden activations and raw scores for a stack of models; shapes (S,n,h), (S,n,o)."""
     w1, w2 = _batched_unpack(arch, w)
-    z1 = x @ w1[:, :-1] + w1[:, -1][:, None, :]
+    z1 = x @ w1[:, :-1]
+    z1 += w1[:, -1][:, None, :]
     hidden = _activate(z1, arch.activation)
-    scores = hidden @ w2[:, :-1] + w2[:, -1][:, None, :]
+    scores = hidden @ w2[:, :-1]
+    scores += w2[:, -1][:, None, :]
     return hidden, scores
+
+
+def _class_max(z: np.ndarray) -> np.ndarray:
+    """Max over the class axis of (S, n, o) scores, one column at a time."""
+    m = np.maximum(z[..., 0], z[..., 1])
+    for c in range(2, z.shape[2]):
+        np.maximum(m, z[..., c], out=m)
+    return m
+
+
+def _class_sum(e: np.ndarray) -> np.ndarray:
+    """Sum over the class axis of (S, n, o) values, columns added left to right.
+
+    For fewer than 8 classes this is the order numpy's own reduction uses, so
+    the bits match `e.sum(axis=2)`; column operations avoid numpy's slow
+    reduction over a short last axis.
+    """
+    total = e[..., 0] + e[..., 1]
+    for c in range(2, e.shape[2]):
+        total += e[..., c]
+    return total
 
 
 def _batched_data_loss(arch: MlpArchitecture, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -231,11 +257,11 @@ def _batched_data_loss(arch: MlpArchitecture, z: np.ndarray, y: np.ndarray) -> n
         t = np.logaddexp(0.0, z0)
         t -= y * z0
         return np.add.reduce(t, axis=1) / n
-    zmax = z.max(axis=2, keepdims=True)
-    e = z - zmax
+    zmax = _class_max(z)
+    e = z - zmax[..., None]
     np.exp(e, out=e)
-    t = np.log(np.add.reduce(e, axis=2))
-    t += zmax[..., 0]
+    t = np.log(_class_sum(e))
+    t += zmax
     t -= z[:, np.arange(n), y]
     return np.add.reduce(t, axis=1) / n
 
@@ -288,13 +314,15 @@ def batched_loss_and_grad(
         arch, w, x, y, l2_alpha
     )
     if arch.output_dim == 1:
-        dz = (_activate(z[..., 0], "logistic") - y[None, :])[..., None] / n
+        dz = _activate(z, "logistic")
+        dz -= y[:, None]
     else:
-        zmax = z.max(axis=2, keepdims=True)
-        ez = np.exp(z - zmax)
-        probs = ez / ez.sum(axis=2, keepdims=True)
-        onehot = np.eye(arch.output_dim)[y]
-        dz = (probs - onehot[None]) / n
+        # softmax minus the one-hot labels, in one buffer (p - 0.0 is p)
+        dz = z - _class_max(z)[..., None]
+        np.exp(dz, out=dz)
+        dz /= _class_sum(dz)[..., None]
+        dz[:, np.arange(n), y] -= 1.0
+    dz /= n
     grad = np.empty_like(w)
     n1 = (arch.input_dim + 1) * arch.hidden_neurons
     gw1 = grad[:, :n1].reshape(w1.shape)
@@ -335,58 +363,54 @@ def train_batch(
     if arch.output_dim == 1:
         y = y.astype(np.float64)
 
-    s = w.shape[0]
-    step = np.full(s, config.learning_rate)
+    step = np.full(w.shape[0], config.learning_rate)
     loss, grad = batched_loss_and_grad(arch, w, x, y, config.l2_alpha)
     diverged = ~np.isfinite(loss)
     active = ~diverged
-    # forward state of the accepted trial rows, so the gradient call skips
-    # their forward pass; a row is read only in the iteration that wrote it
-    loss_next = np.empty(s)
-    hidden_next = np.empty((s, x.shape[0], arch.hidden_neurons))
-    z_next = np.empty((s, x.shape[0], arch.output_dim))
     for _ in range(config.max_iter):
         gnorm_sq = np.sum(grad * grad, axis=1)
         active &= np.sqrt(gnorm_sq) >= config.tolerance
-        if not active.any():
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
             break
         step = np.minimum(step * 2.0, 1e6)
-        searching = active.copy()
-        accepted = np.zeros(s, dtype=bool)
-        w_next = w.copy()
-        while searching.any():
-            w_try = w[searching] - step[searching, None] * grad[searching]
+        # the rows still searching, compacted; each backtracking round keeps
+        # the accepted rows' trial and forward state for the gradient call
+        w_s, grad_s, step_s = w[idx], grad[idx], step[idx]
+        loss_s, gnorm_s = loss[idx], gnorm_sq[idx]
+        pieces = []
+        while idx.size:
+            w_try = w_s - step_s[:, None] * grad_s
             loss_try, hidden_try, z_try = batched_loss(
                 arch, w_try, x, y, config.l2_alpha, return_forward=True
             )
-            ok = np.isfinite(loss_try) & (
-                loss_try
-                <= loss[searching] - 1e-4 * step[searching] * gnorm_sq[searching]
-            )
-            idx = np.flatnonzero(searching)
-            rows = idx[ok]
-            w_next[rows] = w_try[ok]
-            loss_next[rows] = loss_try[ok]
-            hidden_next[rows] = hidden_try[ok]
-            z_next[rows] = z_try[ok]
-            accepted[rows] = True
-            searching[rows] = False
-            step[idx[~ok]] *= 0.5
-            exhausted = searching & (step < 1e-14)
-            active[exhausted] = False  # no descent step: converged
-            searching[exhausted] = False
-        if not accepted.any():
+            ok = np.isfinite(loss_try) & (loss_try <= loss_s - 1e-4 * step_s * gnorm_s)
+            if ok.all():
+                pieces.append((idx, w_try, loss_try, hidden_try, z_try))
+                break
+            if ok.any():
+                pieces.append((idx[ok], w_try[ok], loss_try[ok], hidden_try[ok], z_try[ok]))
+            rejected = np.flatnonzero(~ok)
+            step_s = step_s[rejected] * 0.5
+            step[idx[rejected]] = step_s
+            exhausted = step_s < 1e-14
+            active[idx[rejected[exhausted]]] = False  # no descent step: converged
+            keep = rejected[~exhausted]
+            idx, step_s = idx[keep], step_s[~exhausted]
+            w_s, grad_s, loss_s, gnorm_s = w_s[keep], grad_s[keep], loss_s[keep], gnorm_s[keep]
+        if not pieces:
             continue
-        w = w_next
-        acc_idx = np.flatnonzero(accepted)
-        loss_new, grad_new = batched_loss_and_grad(
-            arch, w[acc_idx], x, y, config.l2_alpha,
-            forward=(loss_next[acc_idx], hidden_next[acc_idx], z_next[acc_idx]),
+        rows, w_acc, loss_acc, hidden_acc, z_acc = (
+            pieces[0] if len(pieces) == 1
+            else tuple(np.concatenate(part) for part in zip(*pieces))
         )
-        loss[acc_idx] = loss_new
-        grad[acc_idx] = grad_new
-        bad = np.zeros(s, dtype=bool)
-        bad[acc_idx] = ~np.isfinite(loss_new) | ~np.isfinite(grad_new).all(axis=1)
-        diverged |= bad
-        active &= ~bad
+        w[rows] = w_acc
+        loss_new, grad_new = batched_loss_and_grad(
+            arch, w_acc, x, y, config.l2_alpha, forward=(loss_acc, hidden_acc, z_acc)
+        )
+        loss[rows] = loss_new
+        grad[rows] = grad_new
+        bad = rows[~np.isfinite(loss_new) | ~np.isfinite(grad_new).all(axis=1)]
+        diverged[bad] = True
+        active[bad] = False
     return w, diverged

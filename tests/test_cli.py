@@ -257,6 +257,37 @@ def test_bad_hidden_range_rejected_before_loading(
             assert out == ""
 
 
+@pytest.mark.parametrize("flags, config_text, message", [
+    (["--hidden", "0"], None, "--hidden must be >= 1, got 0"),
+    (["--hidden=-2", "--exhaustive"], None, "--hidden must be >= 1, got -2"),
+    (["--hidden", "1", "--exhaustive", "--levels=-1,abc"], None,
+     "--levels must be comma-separated numbers, got '-1,abc'"),
+    (["--hidden", "1", "--exhaustive", "--levels="], None,
+     "--levels must be comma-separated numbers, got ''"),
+    (["--hidden", "1", "--exhaustive", "--levels=1,-1,1"], None,
+     "grid levels must be distinct, got (1.0, -1.0, 1.0)"),
+    (["--hidden", "1", "--exhaustive", "--budget", "0"], None, "budget must be >= 1, got 0"),
+    (["--hidden", "1", "--budget=-3"], None, "budget must be >= 1, got -3"),
+    (["--hidden", "1", "--exhaustive"], "budget=0\n", "budget must be >= 1, got 0"),
+])
+def test_bad_evaluate_flags_rejected_before_loading(
+    xor_csv, tmp_path, capsys, monkeypatch, flags, config_text, message
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("loaded the dataset")
+
+    monkeypatch.setattr(dataio, "load_csv", fail)
+    if config_text is not None:
+        config = tmp_path / "run.cfg"
+        config.write_text(config_text)
+        flags = flags + ["--config", str(config)]
+    for show in ([], ["--show-config"]):
+        code, out, err = run(capsys, "evaluate", xor_csv, *flags, *show)
+        assert code == 1
+        assert message in err
+        assert out == ""
+
+
 def test_threads_must_be_positive(xor_csv, tmp_path, capsys):
     config = tmp_path / "run.cfg"
     for value in ("0", "-2"):
@@ -320,6 +351,16 @@ def test_synth_roundtrip(tmp_path, capsys):
     assert code == 0
     ds = dataio.load_csv(out_path)
     assert ds.num_examples == 24
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+def test_synth_rejects_bad_noise(tmp_path, capsys, noise):
+    out_path = tmp_path / "xor.csv"
+    code, out, err = run(capsys, "synth", "xor", f"--noise={noise}", "--out", str(out_path))
+    assert code == 1
+    assert f"noise must be finite and >= 0, got {float(noise)}" in err
+    assert out == ""
+    assert not out_path.exists()
 
 
 def test_synth_bad_kind(capsys):

@@ -176,6 +176,10 @@ def test_synthetic_validation():
         make_synthetic("spirals", 100, 0.1, seed=0)
     with pytest.raises(ValueError):
         make_synthetic("xor", 4, 0.1, seed=0)
+    for noise in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
+        with pytest.raises(ValueError, match="noise must be finite and >= 0"):
+            make_synthetic("xor", 40, noise, seed=0)
+    assert make_synthetic("xor", 40, 0.0, seed=0).num_examples == 40
 
 
 def test_two_gaussians_learnable():

@@ -380,7 +380,7 @@ def test_activate_matches_plain_formulas(z):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), output_dim=st.sampled_from([1, 3]),
+@given(data=st.data(), output_dim=st.sampled_from([1, 2, 3, 5, 7]),
        s=st.integers(1, 4), n=st.integers(1, 6))
 def test_batched_data_loss_matches_plain_formulas(data, output_dim, s, n):
     z = data.draw(hnp.arrays(np.float64, (s, n, output_dim), elements=Z_VALUES))
@@ -393,6 +393,95 @@ def test_batched_data_loss_matches_plain_formulas(data, output_dim, s, n):
         got = mlp._batched_data_loss(arch, z, y)
         want = plain_data_loss(z, y)
     assert np.array_equal(got, want, equal_nan=True)
+
+
+def numpy_class_sum(e):
+    return e.sum(axis=2, keepdims=True)
+
+
+def left_to_right_class_sum(e):
+    total = e[..., :1].copy()
+    for c in range(1, e.shape[2]):
+        total += e[..., c : c + 1]
+    return total
+
+
+def plain_loss_and_grad(arch, w, x, y, l2, class_sum=numpy_class_sum):
+    """Loss and gradient of a weight stack in the plain numpy form, one temporary a step."""
+    s, d, h, o = w.shape[0], arch.input_dim, arch.hidden_neurons, arch.output_dim
+    n = x.shape[0]
+    n1 = (d + 1) * h
+    w1 = w[:, :n1].reshape(s, d + 1, h)
+    w2 = w[:, n1:].reshape(s, h + 1, o)
+    z1 = x @ w1[:, :-1] + w1[:, -1][:, None, :]
+    if arch.activation == "logistic":
+        a = 1.0 / (1.0 + np.exp(-np.clip(z1, -500, 500)))
+        da = a * (1.0 - a)
+    elif arch.activation == "tanh":
+        a = np.tanh(z1)
+        da = 1.0 - a * a
+    else:
+        a = np.maximum(z1, 0.0)
+        da = (a > 0.0).astype(np.float64)
+    z = a @ w2[:, :-1] + w2[:, -1][:, None, :]
+    if o == 1:
+        z0 = z[..., 0]
+        data_loss = np.mean(np.logaddexp(0.0, z0) - y[None, :] * z0, axis=1)
+        p = 1.0 / (1.0 + np.exp(-np.clip(z0, -500, 500)))
+        dz = (p - y[None, :])[..., None] / n
+    else:
+        zmax = z.max(axis=2, keepdims=True)
+        ez = np.exp(z - zmax)
+        total = class_sum(ez)
+        correct = z[:, np.arange(n), y]
+        data_loss = np.mean(zmax[..., 0] + np.log(total[..., 0]) - correct, axis=1)
+        dz = (ez / total - np.eye(o)[y][None]) / n
+    loss = data_loss + 0.5 * l2 * np.sum(w * w, axis=1)
+    gw2 = np.concatenate([a.transpose(0, 2, 1) @ dz, dz.sum(axis=1)[:, None, :]], axis=1)
+    dh = (dz @ w2[:, :-1].transpose(0, 2, 1)) * da
+    gw1 = np.concatenate([x.T @ dh, dh.sum(axis=1)[:, None, :]], axis=1)
+    grad = np.concatenate([gw1.reshape(s, -1), gw2.reshape(s, -1)], axis=1) + l2 * w
+    return loss, grad
+
+
+def _check_kernels_against_plain(data, output_dim, activation, class_sum):
+    s, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    arch = MlpArchitecture(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)),
+                           output_dim, activation)
+    values = st.floats(-8.0, 8.0)
+    w = data.draw(hnp.arrays(np.float64, (s, arch.weight_count), elements=values))
+    x = data.draw(hnp.arrays(np.float64, (n, arch.input_dim), elements=values))
+    y = np.array(data.draw(st.lists(st.integers(0, arch.num_classes - 1),
+                                    min_size=n, max_size=n)))
+    if output_dim == 1:
+        y = y.astype(np.float64)
+    l2 = data.draw(st.sampled_from([0.0, 1e-5, 0.3]))
+    with np.errstate(all="ignore"):
+        want_loss, want_grad = plain_loss_and_grad(arch, w, x, y, l2, class_sum)
+        state = mlp.batched_loss(arch, w, x, y, l2, return_forward=True)
+        for forward_state in (None, state):
+            loss, grad = mlp.batched_loss_and_grad(arch, w, x, y, l2, forward=forward_state)
+            assert np.array_equal(loss, want_loss, equal_nan=True)
+            assert np.array_equal(grad, want_grad, equal_nan=True)
+        assert np.array_equal(state[0], want_loss, equal_nan=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), output_dim=st.sampled_from([1, 2, 3, 5, 7]),
+       activation=st.sampled_from(mlp.ACTIVATIONS))
+def test_loss_and_grad_match_plain_formulas(data, output_dim, activation):
+    # below 8 classes numpy sums the class axis left to right, so the
+    # column-wise kernels give the plain formulas' bits
+    _check_kernels_against_plain(data, output_dim, activation, numpy_class_sum)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), output_dim=st.sampled_from([8, 10]),
+       activation=st.sampled_from(mlp.ACTIVATIONS))
+def test_loss_and_grad_sum_classes_left_to_right(data, output_dim, activation):
+    # from 8 classes numpy's own sum is pairwise; the kernels keep adding the
+    # class columns left to right
+    _check_kernels_against_plain(data, output_dim, activation, left_to_right_class_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +547,8 @@ def _training_problem(output_dim, activation, rows):
 
 
 @pytest.mark.parametrize(
-    "output_dim, activation", [(1, "logistic"), (3, "tanh"), (1, "relu")]
+    "output_dim, activation",
+    [(1, "logistic"), (3, "tanh"), (1, "relu"), (5, "logistic"), (7, "relu")],
 )
 def test_train_batch_matches_reference_trainer(output_dim, activation):
     arch, x, y, stack = _training_problem(output_dim, activation, rows=6)
