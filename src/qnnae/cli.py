@@ -98,7 +98,7 @@ def _config_summary(cfg: dict) -> str:
         f"learning_rate={cfg['learning_rate']} tolerance={cfg['tolerance']} "
         f"samples={cfg['samples']} hidden_range=[{cfg['hidden_lo']},{cfg['hidden_hi']}) "
         f"train_fraction={cfg['train_fraction']} activation={cfg['activation']} "
-        f"seed={cfg['seed']} threads={cfg['threads']}"
+        f"seed={cfg['seed']} threads={cfg['threads']} budget={cfg['budget']}"
     )
 
 
@@ -136,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--hidden", type=int, required=True, help="hidden neurons")
     p_eval.add_argument("--exhaustive", action="store_true",
                         help="enumerate a weight grid instead of sampling")
-    p_eval.add_argument("--levels", default="-1,0,1",
-                        help="comma-separated grid levels (exhaustive mode)")
+    p_eval.add_argument("--levels",
+                        help="comma-separated grid levels (exhaustive mode; default -1,0,1)")
     p_eval.add_argument("--budget", type=int, help="max grid points (default 3^12)")
     p_eval.add_argument("--train-grid", action="store_true",
                         help="train each grid point (exhaustive mode)")
@@ -199,7 +199,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError(f"--hidden must be >= 1, got {args.hidden}")
     if cfg["budget"] < 1:
         raise ValueError(f"budget must be >= 1, got {cfg['budget']}")
-    levels = _parse_levels(args.levels) if args.exhaustive else None
+    if not args.exhaustive and (args.levels is not None or args.train_grid):
+        flag = "--levels" if args.levels is not None else "--train-grid"
+        raise ValueError(f"{flag} needs --exhaustive")
+    if args.exhaustive:
+        levels = _parse_levels("-1,0,1" if args.levels is None else args.levels)
     if args.show_config:
         print(_config_summary(cfg))
         return EXIT_OK

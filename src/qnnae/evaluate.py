@@ -94,6 +94,8 @@ def performance_vector(
     """Bit j = 1 iff the model classifies validation example j correctly."""
     if len(labels) == 0:
         raise ValueError("validation set must be non-empty")
+    if model.weights.ndim != 1:
+        raise ValueError("performance_vector takes one network, not a stack")
     predicted = mlp.classify(model, features)
     bits = (np.asarray(predicted) == np.asarray(labels)).astype(int)
     return PerformanceVector(BitString(bits))
@@ -161,10 +163,10 @@ def evaluate_weight_list(
 ) -> ArchitectureReport:
     """Shared core: evaluate the rows of an (S, weight_count) array in order.
 
-    Training is vectorized across models in fixed-size chunks; `map_fn` allows a
-    parallel map over chunks (e.g. a thread-pool executor's).  Chunk boundaries
-    and the final reduction order are fixed, so output is independent of
-    scheduling.  Each network is reduced to its number of validation misses;
+    Training and classification run on fixed-size chunks of models; `map_fn`
+    allows a parallel map over chunks (e.g. a thread-pool executor's).  Chunk
+    boundaries and the final reduction order are fixed, so output is independent
+    of scheduling.  Each network is reduced to its number of validation misses;
     diverged trainings are excluded from the memory and counted.
     """
     x_train, y_train, x_val, y_val, mean, scale = standardized_splits(dataset, split_spec)
@@ -180,14 +182,10 @@ def evaluate_weight_list(
             stack, diverged = mlp.train_batch(arch, stack, x_train, y_train, cfg, mean, scale)
         else:
             diverged = np.zeros(len(stack), dtype=bool)
-        misses = np.zeros(len(stack), dtype=np.int64)
-        for row, w in enumerate(stack):
-            if diverged[row]:
-                log.warning("sample %d diverged; excluded", start + row)
-                continue
-            predicted = mlp.classify(MlpModel(arch, w, mean, scale), x_val)
-            misses[row] = np.count_nonzero(predicted != y_val)
-        return misses[~diverged], int(diverged.sum())
+        for row in np.flatnonzero(diverged):
+            log.warning("sample %d diverged; excluded", start + row)
+        predicted = mlp.classify(MlpModel(arch, stack[~diverged], mean, scale), x_val)
+        return np.count_nonzero(predicted != y_val, axis=1), int(diverged.sum())
 
     mapper = map_fn or map
     results = list(mapper(run_chunk, range(0, len(weights), TRAIN_CHUNK)))

@@ -71,19 +71,19 @@ class TrainConfig:
 
 @dataclass
 class MlpModel:
+    """One network's weights, shape (W,), or a stack of networks, shape (S, W)."""
+
     architecture: MlpArchitecture
     weights: np.ndarray
     feature_mean: Optional[np.ndarray] = None
     feature_scale: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        if self.weights.shape[0] != self.architecture.weight_count:
-            raise ValueError(
-                f"weight vector has length {self.weights.shape[0]}, "
-                f"architecture needs {self.architecture.weight_count}"
-            )
-        if not np.all(np.isfinite(self.weights)):
+        w = self.weights = np.asarray(self.weights, dtype=np.float64)
+        count = self.architecture.weight_count
+        if w.ndim not in (1, 2) or w.shape[-1] != count:
+            raise ValueError(f"weights have shape {w.shape}, need ({count},) or (S, {count})")
+        if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
 
 
@@ -97,18 +97,18 @@ def init_weights(arch: MlpArchitecture, rng_seed: int) -> np.ndarray:
     return np.concatenate([w1, w2])
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
+def _activate(z: np.ndarray, activation: str, out: Optional[np.ndarray] = None) -> np.ndarray:
     if activation == "logistic":
         # 1 / (1 + exp(-clip(z, -500, 500))) in one buffer
-        a = np.maximum(z, -500.0)
+        a = np.maximum(z, -500.0, out=out)
         np.minimum(a, 500.0, out=a)
         np.negative(a, out=a)
         np.exp(a, out=a)
         a += 1.0
         return np.divide(1.0, a, out=a)
     if activation == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+        return np.tanh(z, out=out)
+    return np.maximum(z, 0.0, out=out)
 
 
 def _activation_grad(a: np.ndarray, activation: str) -> np.ndarray:
@@ -123,36 +123,32 @@ def _activation_grad(a: np.ndarray, activation: str) -> np.ndarray:
     return (a > 0.0).astype(np.float64)
 
 
-def _standardize(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    if model.feature_mean is None:
-        return x
-    return (x - model.feature_mean) / model.feature_scale
-
-
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Raw output scores (pre-softmax / pre-sigmoid) for one example or a batch."""
+    """Raw output scores (pre-softmax / pre-sigmoid) of one network or a stack,
+    for one example or a batch: shape weights.shape[:-1] + x.shape[:-1] + (o,).
+    """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
-    arch = model.architecture
-    if xb.shape[1] != arch.input_dim:
-        raise ValueError(f"expected {arch.input_dim} features, got {xb.shape[1]}")
-    _, scores = _batched_scores(arch, model.weights[None, :], _standardize(model, xb))
-    return scores[0, 0] if single else scores[0]
+    arch, w = model.architecture, model.weights
+    if x.shape[-1] != arch.input_dim:
+        raise ValueError(f"expected {arch.input_dim} features, got {x.shape[-1]}")
+    xb = x.reshape(-1, arch.input_dim)
+    if model.feature_mean is not None:
+        xb = (xb - model.feature_mean) / model.feature_scale
+    _, scores = _batched_scores(arch, w.reshape(-1, arch.weight_count), xb)
+    return scores.reshape(w.shape[:-1] + x.shape[:-1] + (arch.output_dim,))
 
 
 def classify(model: MlpModel, x: np.ndarray):
-    """Class labels; binary uses sigmoid(score) > 0.5, multiclass argmax.
-
-    Argmax ties resolve to the lowest class index.
+    """Class labels, shaped as `forward` less its class axis; an int for one
+    network and one example.  Binary uses sigmoid(score) > 0.5, multiclass
+    argmax, whose ties resolve to the lowest class index.
     """
-    single = np.asarray(x).ndim == 1
-    scores = np.atleast_2d(forward(model, x))
+    scores = forward(model, x)
     if model.architecture.output_dim == 1:
-        labels = (scores[:, 0] > 0.0).astype(np.int64)
+        labels = (scores[..., 0] > 0.0).astype(np.int64)
     else:
-        labels = np.argmax(scores, axis=1)
-    return int(labels[0]) if single else labels
+        labels = np.argmax(scores, axis=-1)
+    return int(labels) if labels.ndim == 0 else labels
 
 
 def _loss_only(
@@ -190,6 +186,8 @@ def train(
     non-finite.
     """
     arch = model.architecture
+    if model.weights.ndim != 1:
+        raise ValueError("train takes one network; train_batch trains a stack")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y).reshape(-1)
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
@@ -223,7 +221,7 @@ def _batched_scores(
     w1, w2 = _batched_unpack(arch, w)
     z1 = x @ w1[:, :-1]
     z1 += w1[:, -1][:, None, :]
-    hidden = _activate(z1, arch.activation)
+    hidden = _activate(z1, arch.activation, out=z1)
     scores = hidden @ w2[:, :-1]
     scores += w2[:, -1][:, None, :]
     return hidden, scores

@@ -178,7 +178,7 @@ def test_config_file_precedence(xor_csv, tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text(
         "samples=50\nseed=3\n# comment\nmax_iter=25\n"
-        "alpha=0.5\ntrain_fraction=0.2\nactivation=tanh\n"
+        "alpha=0.5\ntrain_fraction=0.2\nactivation=tanh\nbudget=5\n"
     )
     code, out, _ = run(
         capsys, "sweep", xor_csv, "--config", str(config), "--samples", "7",
@@ -191,6 +191,7 @@ def test_config_file_precedence(xor_csv, tmp_path, capsys):
     assert "alpha=0.5" in out
     assert "train_fraction=0.2" in out
     assert "activation=tanh" in out
+    assert "budget=5" in out
 
 
 def test_config_file_bad_key(xor_csv, tmp_path, capsys):
@@ -269,6 +270,9 @@ def test_bad_hidden_range_rejected_before_loading(
     (["--hidden", "1", "--exhaustive", "--budget", "0"], None, "budget must be >= 1, got 0"),
     (["--hidden", "1", "--budget=-3"], None, "budget must be >= 1, got -3"),
     (["--hidden", "1", "--exhaustive"], "budget=0\n", "budget must be >= 1, got 0"),
+    (["--hidden", "1", "--samples", "4", "--levels=9,9"], None, "--levels needs --exhaustive"),
+    (["--hidden", "1", "--samples", "4", "--train-grid"], None,
+     "--train-grid needs --exhaustive"),
 ])
 def test_bad_evaluate_flags_rejected_before_loading(
     xor_csv, tmp_path, capsys, monkeypatch, flags, config_text, message

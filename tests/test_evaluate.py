@@ -85,6 +85,13 @@ def test_performance_empty_validation():
         performance_vector(constant_model(arch, 0.1), np.zeros((0, 2)), np.zeros(0))
 
 
+def test_performance_vector_rejects_a_stack():
+    arch = MlpArchitecture(2, 1, 1)
+    model = MlpModel(arch, np.zeros((3, arch.weight_count)))
+    with pytest.raises(ValueError, match="one network"):
+        performance_vector(model, np.zeros((4, 2)), np.zeros(4, dtype=int))
+
+
 # ---------------------------------------------------------------------------
 # scoring
 # ---------------------------------------------------------------------------
@@ -325,6 +332,30 @@ def test_reports_independent_of_chunk_size(case, xor_dataset, blobs3_dataset, mo
         monkeypatch.setattr(evaluate, "TRAIN_CHUNK", chunk)
         rows.append(report_row())
     assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
+def test_one_classify_call_per_chunk(mode, xor_dataset, monkeypatch):
+    # each chunk is classified by one call over its whole weight stack, never
+    # one call per network
+    real = mlp.classify
+    shapes = []
+
+    def counting(model, x):
+        shapes.append(model.weights.shape)
+        return real(model, x)
+
+    monkeypatch.setattr(mlp, "classify", counting)
+    monkeypatch.setattr(evaluate, "TRAIN_CHUNK", 7)
+    if mode == "sampled":
+        arch = MlpArchitecture(2, 2, 1)
+        report = evaluate_sampled(arch, xor_dataset, 20, seed=3)
+    else:
+        arch = MlpArchitecture(2, 1, 1)
+        report = evaluate_exhaustive(arch, xor_dataset, WeightGrid((-1.0, 1.0), arch.weight_count))
+    n = report.num_samples
+    assert report.excluded == 0 and n == (20 if mode == "sampled" else 32)
+    assert shapes == [(min(7, n - s), arch.weight_count) for s in range(0, n, 7)]
 
 
 def test_exhaustive_grid_is_product_order(xor_dataset, monkeypatch):

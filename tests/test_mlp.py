@@ -99,6 +99,9 @@ def test_model_rejects_bad_weights():
     bad[3] = np.nan
     with pytest.raises(ValueError):
         MlpModel(arch, bad)
+    for shape in ((2, 3, 9), (4, 10), (9, 4)):  # 3-D, or a wrong last axis
+        with pytest.raises(ValueError, match="shape"):
+            MlpModel(arch, np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +168,26 @@ def test_last_layer_affine_in_weights():
     assert np.allclose(
         forward(MlpModel(arch, scaled), x), 2.5 * forward(MlpModel(arch, weights), x)
     )
+
+
+@pytest.mark.parametrize("output_dim", [1, 3, 5])
+@pytest.mark.parametrize("activation", ["logistic", "tanh", "relu"])
+def test_stack_matches_one_network_at_a_time(output_dim, activation):
+    # each row of a stacked forward/classify has the bits of its one-network
+    # call, so classifying a whole chunk at once cannot move a report
+    rng = np.random.default_rng(11)
+    arch = MlpArchitecture(3, 4, output_dim, activation)
+    stack = 2.0 * rng.normal(size=(6, arch.weight_count))
+    mean, scale = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+    stacked = MlpModel(arch, stack, mean, scale)
+    for x in (rng.normal(size=(50, 3)), rng.normal(size=3)):
+        scores, labels = forward(stacked, x), classify(stacked, x)
+        assert scores.shape == (6,) + x.shape[:-1] + (output_dim,)
+        assert labels.shape == (6,) + x.shape[:-1]
+        for i, w in enumerate(stack):
+            one = MlpModel(arch, w, mean, scale)
+            assert np.array_equal(scores[i], forward(one, x))
+            assert np.array_equal(labels[i], classify(one, x))
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +348,9 @@ def test_train_validates_inputs():
         train(model, XOR_X, np.array([0, 1, 2, 0]))  # label out of range
     with pytest.raises(ValueError):
         train(model, np.zeros((4, 3)), XOR_Y)
+    stack = MlpModel(arch, np.stack([init_weights(arch, s) for s in range(2)]))
+    with pytest.raises(ValueError, match="one network"):  # stacks go to train_batch
+        train(stack, XOR_X, XOR_Y)
 
 
 def test_train_raises_on_divergence():
