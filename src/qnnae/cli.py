@@ -65,6 +65,13 @@ def _load_config_file(path) -> dict:
     return values
 
 
+def _check_seed(seed: int) -> None:
+    # numpy rejects a negative seed only when the first generator is built,
+    # after the input is read, and without naming the flag
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def _resolve(args: argparse.Namespace) -> Tuple[dict, TrainConfig, dataio.SplitSpec]:
     """Apply flag > config-file > default precedence for the shared options.
 
@@ -82,6 +89,7 @@ def _resolve(args: argparse.Namespace) -> Tuple[dict, TrainConfig, dataio.SplitS
         raise ValueError(f"threads must be >= 1, got {cfg['threads']}")
     if cfg["samples"] < 1:
         raise ValueError(f"samples must be >= 1, got {cfg['samples']}")
+    _check_seed(cfg["seed"])
     train_cfg = TrainConfig(
         max_iter=cfg["max_iter"],
         l2_alpha=cfg["alpha"],
@@ -165,18 +173,23 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_pqm(args: argparse.Namespace) -> int:
     if args.shots is not None and args.shots < 1:
         raise ValueError(f"--shots must be >= 1, got {args.shots}")
+    _check_seed(args.seed)
     memory = pqm.PatternMemory.from_file(args.memory_file)
     input_pattern = pqm.BitString.from_string(args.input_bits)
     outcome = pqm.retrieve_analytic(memory, input_pattern)
     print(f"p0={outcome.p0:.6f} p1={outcome.p1:.6f}")
+    circuit_needed = args.circuit or args.shots is not None
+    state = pqm.retrieval_state(memory, input_pattern) if circuit_needed else None
     if args.circuit:
-        exact = pqm.retrieve_exact_from_circuit(memory, input_pattern)
+        exact = pqm.retrieve_exact_from_circuit(memory, input_pattern, state=state)
         print(
             f"circuit_p0={exact.p0:.6f} circuit_p1={exact.p1:.6f} "
             f"difference={abs(exact.p0 - outcome.p0):.3e}"
         )
     if args.shots is not None:
-        estimate, counts = pqm.retrieve_circuit(memory, input_pattern, args.shots, args.seed)
+        estimate, counts = pqm.retrieve_circuit(
+            memory, input_pattern, args.shots, args.seed, state=state
+        )
         print(
             f"shots={args.shots} freq0={estimate.p0:.6f} "
             f"counts0={counts[0]} counts1={counts[1]}"
@@ -199,11 +212,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError(f"--hidden must be >= 1, got {args.hidden}")
     if cfg["budget"] < 1:
         raise ValueError(f"budget must be >= 1, got {cfg['budget']}")
-    if not args.exhaustive and (args.levels is not None or args.train_grid):
-        flag = "--levels" if args.levels is not None else "--train-grid"
-        raise ValueError(f"{flag} needs --exhaustive")
     if args.exhaustive:
         levels = _parse_levels("-1,0,1" if args.levels is None else args.levels)
+    else:
+        # only the --budget flag: a config file's budget= is shared with sweep
+        for flag, given in (("--levels", args.levels is not None),
+                            ("--train-grid", args.train_grid),
+                            ("--budget", args.budget is not None)):
+            if given:
+                raise ValueError(f"{flag} needs --exhaustive")
     if args.show_config:
         print(_config_summary(cfg))
         return EXIT_OK
@@ -272,6 +289,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     dataset = dataio.make_synthetic(args.kind, args.n, args.noise, args.seed)
     dataio.write_csv(dataset, args.out)
     print(f"wrote {dataset.num_examples} rows to {args.out}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -184,7 +184,7 @@ def prepare_memory_state(memory: PatternMemory) -> qsim.StateVector:
     return qsim.StateVector(n, amps)
 
 
-def _prepare_retrieval_state(memory: PatternMemory, input_pattern: BitString) -> qsim.StateVector:
+def retrieval_state(memory: PatternMemory, input_pattern: BitString) -> qsim.StateVector:
     """Run the retrieval circuit, returning the pre-measurement 2n+1 qubit state.
 
     Register layout (little-endian qubit indices): input on [0, n), memory on
@@ -227,11 +227,32 @@ def _prepare_retrieval_state(memory: PatternMemory, input_pattern: BitString) ->
     return state
 
 
+def _given_or_built(
+    memory: PatternMemory, input_pattern: BitString, state: Optional[qsim.StateVector]
+) -> qsim.StateVector:
+    if state is None:
+        return retrieval_state(memory, input_pattern)
+    _check_input(memory, input_pattern)
+    width = 2 * memory.pattern_length + 1
+    if state.num_qubits != width:
+        raise ValueError(
+            f"retrieval state has {state.num_qubits} qubits; this memory needs {width}"
+        )
+    return state
+
+
 def retrieve_exact_from_circuit(
-    memory: PatternMemory, input_pattern: BitString
+    memory: PatternMemory,
+    input_pattern: BitString,
+    *,
+    state: Optional[qsim.StateVector] = None,
 ) -> RetrievalOutcome:
-    """Control-qubit marginal read directly off the simulated final state."""
-    state = _prepare_retrieval_state(memory, input_pattern)
+    """Control-qubit marginal read directly off the simulated final state.
+
+    `state`, if given, is `retrieval_state(memory, input_pattern)` built by the
+    caller; it is only read.
+    """
+    state = _given_or_built(memory, input_pattern, state)
     control = 2 * memory.pattern_length
     p0 = state.probability(control, 0)
     p1 = state.probability(control, 1)
@@ -244,19 +265,24 @@ def retrieve_circuit(
     input_pattern: BitString,
     shots: int,
     rng_seed: int,
+    *,
+    state: Optional[qsim.StateVector] = None,
 ) -> Tuple[RetrievalOutcome, Dict[int, int]]:
     """Shot-sampled retrieval: measure the control qubit `shots` times.
 
-    State preparation is deterministic, so the prepared state is built once and
-    copied per shot.  Shot i uses seed rng_seed + i, making results independent
-    of execution order.
+    State preparation is deterministic, so the prepared state is built once (or
+    taken from `state`, which is only read) and each shot measures a fresh copy
+    of it in one reused scratch state.  Shot i uses seed rng_seed + i, making
+    results independent of execution order.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    state = _prepare_retrieval_state(memory, input_pattern)
+    state = _given_or_built(memory, input_pattern, state)
     control = 2 * memory.pattern_length
+    scratch = state.copy()
     counts = {0: 0, 1: 0}
     for shot in range(shots):
-        outcome, _ = qsim.measure_qubit(state.copy(), control, rng_seed + shot)
+        np.copyto(scratch.amplitudes, state.amplitudes)
+        outcome, _ = qsim.measure_qubit(scratch, control, rng_seed + shot)
         counts[outcome] += 1
     return RetrievalOutcome(counts[0] / shots, counts[1] / shots), counts

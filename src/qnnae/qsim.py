@@ -48,18 +48,23 @@ class StateVector:
         return StateVector(self.num_qubits, self.amplitudes)
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+        return _sum_sq(self.amplitudes)
 
     def probability(self, q: int, value: int) -> float:
         """Marginal probability that qubit q reads `value`."""
         _check_qubit(self, q)
         view = self.amplitudes.reshape([2] * self.num_qubits)
-        sel = [slice(None)] * self.num_qubits
-        sel[self.num_qubits - 1 - q] = value
-        return float(np.sum(np.abs(view[tuple(sel)]) ** 2))
+        return _sum_sq(view[_slices(self, [(q, value)])])
 
     def __repr__(self) -> str:
         return f"StateVector(num_qubits={self.num_qubits})"
+
+
+def _sum_sq(amps: np.ndarray) -> float:
+    """Sum of |a|^2, squaring the `abs` buffer in place (same bits as `abs(a) ** 2`)."""
+    mags = np.abs(amps)
+    mags *= mags
+    return float(np.sum(mags))
 
 
 def _check_qubit(state: StateVector, q: int) -> None:
@@ -68,21 +73,23 @@ def _check_qubit(state: StateVector, q: int) -> None:
 
 
 def _slices(state: StateVector, fixed: Sequence[Tuple[int, int]]):
+    # the trailing Ellipsis keeps a fully indexed selection a writable 0-d
+    # view; without it, a 1-qubit state's half would be a scalar copy
     sel = [slice(None)] * state.num_qubits
     for q, v in fixed:
         sel[state.num_qubits - 1 - q] = v
-    return tuple(sel)
+    return tuple(sel) + (Ellipsis,)
 
 
 def apply_hadamard(state: StateVector, q: int) -> StateVector:
     _check_qubit(state, q)
     view = state.amplitudes.reshape([2] * state.num_qubits)
-    i0 = _slices(state, [(q, 0)])
-    i1 = _slices(state, [(q, 1)])
-    a0 = view[i0].copy()
-    a1 = view[i1]
-    view[i0] = (a0 + a1) * _INV_SQRT2
-    view[i1] = (a0 - a1) * _INV_SQRT2
+    a0 = view[_slices(state, [(q, 0)])]
+    a1 = view[_slices(state, [(q, 1)])]
+    s = a0 + a1
+    np.subtract(a0, a1, out=a1)
+    a1 *= _INV_SQRT2
+    np.multiply(s, _INV_SQRT2, out=a0)
     return state
 
 
@@ -144,5 +151,6 @@ def measure_qubit(state: StateVector, q: int, rng: RngLike) -> Tuple[int, StateV
     norm = math.sqrt(state.norm_sq())
     if norm == 0.0:
         raise FloatingPointError("measurement branch has zero probability mass")
-    state.amplitudes /= norm
+    # only the kept half: the zeroed half would stay +0 under the division
+    view[_slices(state, [(q, outcome)])] /= norm
     return outcome, state

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from qnnae import cli, dataio, mlp
+from qnnae import cli, dataio, mlp, pqm
 
 
 def run(capsys, *argv):
@@ -273,6 +273,7 @@ def test_bad_hidden_range_rejected_before_loading(
     (["--hidden", "1", "--samples", "4", "--levels=9,9"], None, "--levels needs --exhaustive"),
     (["--hidden", "1", "--samples", "4", "--train-grid"], None,
      "--train-grid needs --exhaustive"),
+    (["--hidden", "1", "--samples", "2", "--budget", "5"], None, "--budget needs --exhaustive"),
 ])
 def test_bad_evaluate_flags_rejected_before_loading(
     xor_csv, tmp_path, capsys, monkeypatch, flags, config_text, message
@@ -290,6 +291,34 @@ def test_bad_evaluate_flags_rejected_before_loading(
         assert code == 1
         assert message in err
         assert out == ""
+
+
+@pytest.mark.parametrize("value", ["-1", "-2"])
+def test_negative_seed_rejected_before_loading(
+    xor_csv, memory_file, tmp_path, capsys, monkeypatch, value
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("read or wrote a data file")
+
+    for module, name in ((dataio, "load_csv"), (dataio, "make_synthetic"),
+                         (dataio, "write_csv"), (pqm.PatternMemory, "from_file")):
+        monkeypatch.setattr(module, name, fail)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"seed={value}\n")
+    out_path = tmp_path / "data.csv"
+    runs = [[*command, *extra, *show]
+            for command in (["sweep", xor_csv], ["evaluate", xor_csv, "--hidden", "2"])
+            for extra in (["--seed", value], ["--config", str(config)])
+            for show in ([], ["--show-config"])]
+    runs += [["pqm", memory_file, "00", "--seed", value, *shots]
+             for shots in ([], ["--shots", "10"], ["--circuit", "--shots", "10"])]
+    runs += [["synth", "xor", "--seed", value, "--out", str(out_path)]]
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert f"seed must be >= 0, got {value}" in err
+        assert out == ""
+    assert not out_path.exists()
 
 
 def test_threads_must_be_positive(xor_csv, tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qnnae import pqm
+from qnnae import cli, pqm, qsim
 from qnnae.pqm import (
     BitString,
     CapacityError,
@@ -15,6 +15,7 @@ from qnnae.pqm import (
     retrieve_analytic,
     retrieve_circuit,
     retrieve_exact_from_circuit,
+    retrieval_state,
 )
 
 
@@ -188,6 +189,69 @@ def test_shots_deterministic_per_seed():
     first, counts1 = retrieve_circuit(memory, BitString.from_string("00"), 500, 4)
     second, counts2 = retrieve_circuit(memory, BitString.from_string("00"), 500, 4)
     assert counts1 == counts2
+
+
+def random_memory(rng, n):
+    patterns = [rng.integers(0, 2, n) for _ in range(int(rng.integers(1, 9)))]
+    return PatternMemory(BitString(p) for p in patterns), BitString(rng.integers(0, 2, n))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_shots_match_one_copy_per_shot(n):
+    rng = np.random.default_rng(n)
+    for trial in range(4):
+        memory, probe = random_memory(rng, n)
+        seed = int(rng.integers(0, 1000))
+        state = retrieval_state(memory, probe)
+        expected = {0: 0, 1: 0}
+        for i in range(60):
+            outcome, _ = qsim.measure_qubit(state.copy(), 2 * n, seed + i)
+            expected[outcome] += 1
+        _, counts = retrieve_circuit(memory, probe, 60, seed)
+        assert counts == expected
+
+
+def test_given_state_matches_built_state():
+    rng = np.random.default_rng(21)
+    for n in (1, 3, 4):
+        memory, probe = random_memory(rng, n)
+        state = retrieval_state(memory, probe)
+        before = state.amplitudes.copy()
+        assert retrieve_exact_from_circuit(memory, probe, state=state) == (
+            retrieve_exact_from_circuit(memory, probe)
+        )
+        assert retrieve_circuit(memory, probe, 80, 5, state=state) == (
+            retrieve_circuit(memory, probe, 80, 5)
+        )
+        assert np.array_equal(state.amplitudes, before)  # only read
+
+
+def test_given_state_of_wrong_width_rejected():
+    memory = PatternMemory.from_strings(["01", "10"])
+    probe = BitString.from_string("00")
+    for num_qubits in (4, 6):
+        wrong = qsim.StateVector(num_qubits)
+        with pytest.raises(ValueError, match="needs 5"):
+            retrieve_exact_from_circuit(memory, probe, state=wrong)
+        with pytest.raises(ValueError, match="needs 5"):
+            retrieve_circuit(memory, probe, 10, 0, state=wrong)
+
+
+def test_cli_builds_retrieval_state_once(tmp_path, monkeypatch):
+    path = tmp_path / "memory.txt"
+    path.write_text("0110\n1011\n0000\n")
+    built = []
+
+    def counting(memory, input_pattern):
+        built.append(str(input_pattern))
+        return retrieval_state(memory, input_pattern)
+
+    monkeypatch.setattr(pqm, "retrieval_state", counting)
+    for flags, builds in ((["--circuit", "--shots", "50"], 1), (["--circuit"], 1),
+                          (["--shots", "50"], 1), ([], 0)):
+        built.clear()
+        assert cli.main(["pqm", str(path), "0111", *flags, "--seed", "3"]) == 0
+        assert built == ["0111"] * builds
 
 
 # ---------------------------------------------------------------------------

@@ -212,3 +212,53 @@ def test_measure_collapses_and_renormalizes():
     assert abs(post.norm_sq() - 1) <= 1e-10
     assert post.probability(0, outcome) == pytest.approx(1.0)
 
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels against the plain formulas
+# ---------------------------------------------------------------------------
+
+def plain_halves(num_qubits, q):
+    """Index tuples of the q=0 and q=1 halves of the (2,)*n view."""
+    sel0 = [slice(None)] * num_qubits
+    sel1 = [slice(None)] * num_qubits
+    sel0[num_qubits - 1 - q] = 0
+    sel1[num_qubits - 1 - q] = 1
+    return tuple(sel0), tuple(sel1)
+
+
+def plain_hadamard(amps, num_qubits, q):
+    view = amps.copy().reshape([2] * num_qubits)
+    i0, i1 = plain_halves(num_qubits, q)
+    a0, a1 = view[i0].copy(), view[i1].copy()
+    view[i0] = (a0 + a1) * SQRT2_INV
+    view[i1] = (a0 - a1) * SQRT2_INV
+    return view.reshape(-1)
+
+
+def plain_measure(amps, num_qubits, q, outcome):
+    view = amps.copy().reshape([2] * num_qubits)
+    view[plain_halves(num_qubits, q)[1 - outcome]] = 0.0
+    post = view.reshape(-1)
+    return post / math.sqrt(float(np.sum(np.abs(post) ** 2)))
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 8))
+def test_kernels_match_plain_formulas(num_qubits):
+    for q in range(num_qubits):
+        amps = random_state(num_qubits, 100 * num_qubits + q).amplitudes
+        view = amps.reshape([2] * num_qubits)
+        halves = plain_halves(num_qubits, q)
+
+        state = apply_hadamard(StateVector(num_qubits, amps), q)
+        assert np.array_equal(state.amplitudes, plain_hadamard(amps, num_qubits, q))
+
+        state = StateVector(num_qubits, amps)
+        assert state.norm_sq() == float(np.sum(np.abs(amps) ** 2))
+        for value in (0, 1):
+            expected = float(np.sum(np.abs(view[halves[value]]) ** 2))
+            assert state.probability(q, value) == expected
+
+        for seed in range(4):
+            outcome, post = measure_qubit(StateVector(num_qubits, amps), q, seed)
+            assert np.array_equal(post.amplitudes, plain_measure(amps, num_qubits, q, outcome))
