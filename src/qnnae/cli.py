@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple
 
 from . import dataio, evaluate, pqm, svgplot
@@ -121,7 +120,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--train-fraction", dest="train_fraction", type=float,
                         help="train split fraction (default 0.1)")
     parser.add_argument("--activation", choices=ACTIVATIONS)
-    parser.add_argument("--threads", type=int, help="worker threads (default 1)")
+    parser.add_argument("--threads", type=int, help="accepted, but work runs in one thread")
     parser.add_argument("--show-config", action="store_true",
                         help="print the effective configuration and exit")
 
@@ -177,9 +176,10 @@ def _cmd_pqm(args: argparse.Namespace) -> int:
     memory = pqm.PatternMemory.from_file(args.memory_file)
     input_pattern = pqm.BitString.from_string(args.input_bits)
     outcome = pqm.retrieve_analytic(memory, input_pattern)
-    print(f"p0={outcome.p0:.6f} p1={outcome.p1:.6f}")
+    # built before any output, so a circuit over capacity prints nothing
     circuit_needed = args.circuit or args.shots is not None
     state = pqm.retrieval_state(memory, input_pattern) if circuit_needed else None
+    print(f"p0={outcome.p0:.6f} p1={outcome.p1:.6f}")
     if args.circuit:
         exact = pqm.retrieve_exact_from_circuit(memory, input_pattern, state=state)
         print(
@@ -214,6 +214,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError(f"budget must be >= 1, got {cfg['budget']}")
     if args.exhaustive:
         levels = _parse_levels("-1,0,1" if args.levels is None else args.levels)
+        # only the flag: a config file's samples= is shared with sweep
+        if args.samples is not None:
+            raise ValueError("--samples has no effect with --exhaustive")
     else:
         # only the --budget flag: a config file's budget= is shared with sweep
         for flag, given in (("--levels", args.levels is not None),
@@ -226,19 +229,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         return EXIT_OK
     dataset = dataio.load_csv(args.dataset)
     arch = evaluate.architecture_for(dataset, args.hidden, cfg["activation"])
-    with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-        map_fn = pool.map if cfg["threads"] > 1 else None
-        if args.exhaustive:
-            grid = evaluate.WeightGrid(levels, arch.weight_count, cfg["budget"])
-            report = evaluate.evaluate_exhaustive(
-                arch, dataset, grid, args.train_grid, train_cfg,
-                cfg["seed"], split_spec, map_fn,
-            )
-        else:
-            report = evaluate.evaluate_sampled(
-                arch, dataset, cfg["samples"], train_cfg,
-                cfg["seed"], split_spec, map_fn,
-            )
+    if args.exhaustive:
+        grid = evaluate.WeightGrid(levels, arch.weight_count, cfg["budget"])
+        report = evaluate.evaluate_exhaustive(
+            arch, dataset, grid, args.train_grid, train_cfg, cfg["seed"], split_spec
+        )
+    else:
+        report = evaluate.evaluate_sampled(
+            arch, dataset, cfg["samples"], train_cfg, cfg["seed"], split_spec
+        )
     print(f"score_p0={report.score_p0:.6f} mean_accuracy={report.mean_accuracy:.6f} "
           f"samples={report.num_samples} excluded={report.excluded}")
     if args.out:
@@ -258,17 +257,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(_config_summary(cfg))
         return EXIT_OK
     dataset = dataio.load_csv(args.dataset)
-    with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-        reports = evaluate.sweep(
-            dataset,
-            hidden_range=(cfg["hidden_lo"], cfg["hidden_hi"]),
-            num_samples=cfg["samples"],
-            train_cfg=train_cfg,
-            seed=cfg["seed"],
-            split_spec=split_spec,
-            activation=cfg["activation"],
-            map_fn=pool.map if cfg["threads"] > 1 else None,
-        )
+    reports = evaluate.sweep(
+        dataset,
+        hidden_range=(cfg["hidden_lo"], cfg["hidden_hi"]),
+        num_samples=cfg["samples"],
+        train_cfg=train_cfg,
+        seed=cfg["seed"],
+        split_spec=split_spec,
+        activation=cfg["activation"],
+    )
     if args.out:
         evaluate.write_reports_csv(reports, args.out)
     else:

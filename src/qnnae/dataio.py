@@ -87,6 +87,8 @@ def load_csv(path, name: str | None = None) -> Dataset:
             raise ValueError(f"{path}: header has no `label` column")
         label_col = header.index("label")
         feature_cols = [i for i in range(len(header)) if i != label_col]
+        if not feature_cols:
+            raise ValueError(f"{path}: header has no feature columns")
 
         rows: List[List[float]] = []
         raw_labels: List[str] = []

@@ -10,14 +10,14 @@ performance vectors:
 Sampled mode trains many random initializations; exhaustive mode enumerates a
 quantized weight grid.  All randomness derives from a single seed, and the
 score reduction runs in fixed sample order, so reports are reproducible
-bit-for-bit regardless of worker count.
+bit-for-bit.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ log = logging.getLogger(__name__)
 DEFAULT_NUM_SAMPLES = 1000
 DEFAULT_GRID_BUDGET = 3**12
 DEFAULT_HIDDEN_RANGE = (1, 20)
-# models trained together per vectorized chunk; fixed so results never depend
-# on worker count
+# models trained together per vectorized chunk
 TRAIN_CHUNK = 64
 
 
@@ -159,15 +158,13 @@ def evaluate_weight_list(
     split_spec: SplitSpec,
     seed: int,
     mode: str,
-    map_fn: Optional[Callable] = None,
 ) -> ArchitectureReport:
     """Shared core: evaluate the rows of an (S, weight_count) array in order.
 
-    Training and classification run on fixed-size chunks of models; `map_fn`
-    allows a parallel map over chunks (e.g. a thread-pool executor's).  Chunk
-    boundaries and the final reduction order are fixed, so output is independent
-    of scheduling.  Each network is reduced to its number of validation misses;
-    diverged trainings are excluded from the memory and counted.
+    Training and classification run on fixed-size chunks of models, and the
+    final reduction runs in sample order.  Each network is reduced to its
+    number of validation misses; diverged trainings are excluded from the
+    memory and counted.
     """
     x_train, y_train, x_val, y_val, mean, scale = standardized_splits(dataset, split_spec)
     t_s = len(y_val)
@@ -176,7 +173,9 @@ def evaluate_weight_list(
     cfg = train_cfg or TrainConfig()
     weights = np.asarray(weights, dtype=np.float64)
 
-    def run_chunk(start: int) -> Tuple[np.ndarray, int]:
+    chunk_misses = []
+    excluded = 0
+    for start in range(0, len(weights), TRAIN_CHUNK):
         stack = weights[start : start + TRAIN_CHUNK]
         if train:
             stack, diverged = mlp.train_batch(arch, stack, x_train, y_train, cfg, mean, scale)
@@ -185,12 +184,9 @@ def evaluate_weight_list(
         for row in np.flatnonzero(diverged):
             log.warning("sample %d diverged; excluded", start + row)
         predicted = mlp.classify(MlpModel(arch, stack[~diverged], mean, scale), x_val)
-        return np.count_nonzero(predicted != y_val, axis=1), int(diverged.sum())
-
-    mapper = map_fn or map
-    results = list(mapper(run_chunk, range(0, len(weights), TRAIN_CHUNK)))
-    misses = np.concatenate([m for m, _ in results])
-    excluded = sum(d for _, d in results)
+        chunk_misses.append(np.count_nonzero(predicted != y_val, axis=1))
+        excluded += int(diverged.sum())
+    misses = np.concatenate(chunk_misses)
     if misses.size == 0:
         raise ValueError("every weight sample diverged; nothing to score")
     accuracies = (t_s - misses) / t_s
@@ -213,7 +209,6 @@ def evaluate_sampled(
     train_cfg: Optional[TrainConfig] = None,
     seed: int = 0,
     split_spec: Optional[SplitSpec] = None,
-    map_fn: Optional[Callable] = None,
 ) -> ArchitectureReport:
     """Train `num_samples` independent random initializations and score them."""
     if num_samples < 1:
@@ -223,7 +218,7 @@ def evaluate_sampled(
         [mlp.init_weights(arch, _sample_seed(seed, i)) for i in range(num_samples)]
     )
     return evaluate_weight_list(
-        arch, dataset, weights, True, train_cfg, spec, seed, "sampled", map_fn
+        arch, dataset, weights, True, train_cfg, spec, seed, "sampled"
     )
 
 
@@ -235,7 +230,6 @@ def evaluate_exhaustive(
     train_cfg: Optional[TrainConfig] = None,
     seed: int = 0,
     split_spec: Optional[SplitSpec] = None,
-    map_fn: Optional[Callable] = None,
 ) -> ArchitectureReport:
     """Enumerate every grid point (lexicographic in level order) and score them all.
 
@@ -256,7 +250,7 @@ def evaluate_exhaustive(
         place = len(levels) ** (grid.weight_count - 1 - j)
         weights[:, j] = levels[index // place % len(levels)]
     return evaluate_weight_list(
-        arch, dataset, weights, train, train_cfg, spec, seed, "exhaustive", map_fn
+        arch, dataset, weights, train, train_cfg, spec, seed, "exhaustive"
     )
 
 
@@ -284,7 +278,6 @@ def sweep(
     seed: int = 0,
     split_spec: Optional[SplitSpec] = None,
     activation: str = "logistic",
-    map_fn: Optional[Callable] = None,
 ) -> List[ArchitectureReport]:
     """One sampled-mode report per hidden-neuron count in [lo, hi), ascending."""
     lo, hi = hidden_range
@@ -292,7 +285,7 @@ def sweep(
     return [
         evaluate_sampled(
             architecture_for(dataset, hidden, activation), dataset, num_samples,
-            train_cfg, seed, split_spec, map_fn,
+            train_cfg, seed, split_spec,
         )
         for hidden in range(lo, hi)
     ]

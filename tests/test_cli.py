@@ -1,5 +1,6 @@
 """Command-line interface tests: outputs, exit codes, config precedence."""
 import shutil
+import threading
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -69,9 +70,11 @@ def test_pqm_rejects_nonpositive_shots(memory_file, capsys):
 def test_pqm_capacity_exit_code(tmp_path, capsys):
     path = tmp_path / "memory.txt"
     path.write_text("0" * 12 + "\n")
-    code, _, err = run(capsys, "pqm", str(path), "0" * 12, "--circuit")
-    assert code == 2
-    assert "error" in err
+    for extra in (["--circuit"], ["--shots", "3"]):
+        code, out, err = run(capsys, "pqm", str(path), "0" * 12, *extra)
+        assert code == 2
+        assert "error" in err
+        assert out == ""  # rejected before the analytic line is printed
 
 
 def test_pqm_missing_file(capsys):
@@ -274,6 +277,8 @@ def test_bad_hidden_range_rejected_before_loading(
     (["--hidden", "1", "--samples", "4", "--train-grid"], None,
      "--train-grid needs --exhaustive"),
     (["--hidden", "1", "--samples", "2", "--budget", "5"], None, "--budget needs --exhaustive"),
+    (["--hidden", "1", "--exhaustive", "--levels=-1,1", "--samples", "5"], None,
+     "--samples has no effect with --exhaustive"),
 ])
 def test_bad_evaluate_flags_rejected_before_loading(
     xor_csv, tmp_path, capsys, monkeypatch, flags, config_text, message
@@ -332,6 +337,21 @@ def test_threads_must_be_positive(xor_csv, tmp_path, capsys):
             assert code == 1
             assert f"threads must be >= 1, got {value}" in err
             assert out == ""  # rejected before any training ran
+
+
+def test_sweep_runs_in_one_thread_for_any_thread_count(xor_csv, capsys, monkeypatch):
+    def fail(self):
+        raise AssertionError("started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", fail)
+    outputs = []
+    for threads in ("4", "1"):
+        # 130 samples make three training chunks per architecture
+        code, out, _ = run(capsys, "sweep", xor_csv, "--hidden-range", "1", "3",
+                           "--samples", "130", "--seed", "2", "--threads", threads)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

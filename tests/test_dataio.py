@@ -1,5 +1,6 @@
 """Dataset loading, splitting, and synthetic generator tests."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,13 @@ def test_load_rejects_non_numeric(tmp_path):
 def test_load_requires_label_column(tmp_path):
     path = write(tmp_path, "f1,f2\n1,2\n")
     with pytest.raises(ValueError, match="label"):
+        load_csv(path)
+
+
+def test_load_requires_feature_column(tmp_path):
+    # the second row is malformed too: the header must be rejected before any row is read
+    path = write(tmp_path, "label\na\nb,c\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: header has no feature columns")):
         load_csv(path)
 
 

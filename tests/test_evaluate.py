@@ -395,17 +395,6 @@ def test_sweep_validates_range(xor_dataset):
         sweep(xor_dataset, (3, 3))
 
 
-def test_sweep_thread_independence(xor_dataset):
-    from concurrent.futures import ThreadPoolExecutor
-
-    serial = sweep(xor_dataset, (1, 3), num_samples=130, seed=2)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = sweep(xor_dataset, (1, 3), num_samples=130, seed=2, map_fn=pool.map)
-    for a, b in zip(serial, threaded):
-        assert a.score_p0 == b.score_p0
-        assert np.array_equal(a.accuracy_per_sample, b.accuracy_per_sample)
-
-
 def test_report_csv(tmp_path, xor_dataset):
     reports = sweep(xor_dataset, (1, 3), num_samples=3, seed=0)
     path = tmp_path / "reports.csv"
