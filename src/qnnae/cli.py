@@ -14,6 +14,7 @@ never time-based).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Tuple
 
@@ -97,6 +98,21 @@ def _resolve(args: argparse.Namespace) -> Tuple[dict, TrainConfig, dataio.SplitS
     )
     split_spec = dataio.SplitSpec(cfg["train_fraction"], cfg["seed"], stratified=True)
     return cfg, train_cfg, split_spec
+
+
+def _check_output_path(flag: str, path: Optional[str]) -> None:
+    """Reject an output path that cannot be opened for writing, before any work."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise ValueError(f"{flag}: {path} is a directory")
+    directory = os.path.dirname(path) or "."
+    if not os.path.exists(directory):
+        raise ValueError(f"{flag}: directory {directory} does not exist")
+    if not os.path.isdir(directory):
+        raise ValueError(f"{flag}: {directory} is not a directory")
+    if not os.access(directory, os.W_OK):
+        raise ValueError(f"{flag}: directory {directory} is not writable")
 
 
 def _config_summary(cfg: dict) -> str:
@@ -224,6 +240,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                             ("--budget", args.budget is not None)):
             if given:
                 raise ValueError(f"{flag} needs --exhaustive")
+    _check_output_path("--out", args.out)
     if args.show_config:
         print(_config_summary(cfg))
         return EXIT_OK
@@ -253,6 +270,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.hidden_range is not None:
         cfg["hidden_lo"], cfg["hidden_hi"] = args.hidden_range
     evaluate.check_hidden_range(cfg["hidden_lo"], cfg["hidden_hi"])
+    _check_output_path("--out", args.out)
+    _check_output_path("--plot", args.plot)
     if args.show_config:
         print(_config_summary(cfg))
         return EXIT_OK

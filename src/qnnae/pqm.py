@@ -198,6 +198,15 @@ def retrieval_state(memory: PatternMemory, input_pattern: BitString) -> qsim.Sta
     e^{-i*pi/n} on the same qubits; H on control; uncompute the X/CNOT layer.
     The two control branches then carry relative phase 2*pi*d_H/(2n), which the
     final H converts into the cos^2/sin^2 amplitudes.
+
+    Each CNOT+X pair runs as one anti-controlled X (`apply_cnot` with
+    control_value=0), which flips memory_j where input_j reads 0.  That sets
+    memory_j to NOT(memory_j XOR input_j), as CNOT then X does: where input_j
+    is 1 the CNOT's flip and the X's flip cancel, and where it is 0 only the X
+    flips.  The pair is a permutation of the amplitudes, so the fused gate
+    leaves the same state bit for bit, and it is its own inverse, so it also
+    uncomputes the layer.  It moves one quarter-block pair instead of a
+    quarter pair and then a half pair.
     """
     _check_input(memory, input_pattern)
     n = memory.pattern_length
@@ -208,22 +217,22 @@ def retrieval_state(memory: PatternMemory, input_pattern: BitString) -> qsim.Sta
         )
     control = 2 * n
 
-    amps = np.zeros(2 ** (2 * n + 1), dtype=np.complex128)
+    state = qsim.StateVector(2 * n + 1)
+    state.amplitudes[0] = 0.0
     memory_index = np.arange(2**n) << n
-    amps[input_pattern.to_index() + memory_index] = prepare_memory_state(memory).amplitudes
-    state = qsim.StateVector(2 * n + 1, amps)
+    state.amplitudes[input_pattern.to_index() + memory_index] = (
+        prepare_memory_state(memory).amplitudes
+    )
 
     for j in range(n):
-        qsim.apply_cnot(state, control=j, target=n + j)
-        qsim.apply_x(state, n + j)
+        qsim.apply_cnot(state, control=j, target=n + j, control_value=0)
     qsim.apply_hadamard(state, control)
     for j in range(n):
         qsim.apply_phase(state, n + j, math.pi / (2 * n), on_value=0)
         qsim.apply_phase(state, n + j, -math.pi / n, on_value=0, control=control)
     qsim.apply_hadamard(state, control)
     for j in reversed(range(n)):
-        qsim.apply_x(state, n + j)
-        qsim.apply_cnot(state, control=j, target=n + j)
+        qsim.apply_cnot(state, control=j, target=n + j, control_value=0)
     return state
 
 

@@ -96,6 +96,32 @@ def test_pqm_parse_error_line_number(tmp_path, capsys):
     assert f"{path}: no patterns" in err
 
 
+# recorded from `qnnae pqm` before the qsim kernels moved to block views and
+# the retrieval circuit fused each CNOT+X pair; a change to any kernel's bits
+# moves the circuit p0, the difference or the shot counts
+PQM_GOLDEN = [
+    (["011010", "110001", "011010", "101111", "000100"], "101101",
+     "p0=0.413397 p1=0.586603\n"
+     "circuit_p0=0.413397 circuit_p1=0.586603 difference=5.551e-17\n"
+     "shots=300 freq0=0.486667 counts0=146 counts1=154\n"),
+    (["10110010", "01101101", "11110000", "00011011", "10101010", "01010101",
+      "11001100"], "10011010",
+     "p0=0.535024 p1=0.464976\n"
+     "circuit_p0=0.535024 circuit_p1=0.464976 difference=0.000e+00\n"
+     "shots=300 freq0=0.630000 counts0=189 counts1=111\n"),
+]
+
+
+@pytest.mark.parametrize("patterns, probe, expected", PQM_GOLDEN)
+def test_pqm_circuit_and_shots_golden(tmp_path, capsys, patterns, probe, expected):
+    path = tmp_path / "memory.txt"
+    path.write_text("\n".join(patterns) + "\n")
+    code, out, err = run(capsys, "pqm", str(path), probe, "--circuit",
+                         "--shots", "300", "--seed", "9")
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -296,6 +322,52 @@ def test_bad_evaluate_flags_rejected_before_loading(
         assert code == 1
         assert message in err
         assert out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--hidden-range", "1", "2", "--samples", "2", "--max-iter", "5"],
+    ["evaluate", "--hidden", "1", "--samples", "2", "--max-iter", "5"],
+])
+def test_bad_output_path_rejected_before_loading(
+    xor_csv, tmp_path, capsys, monkeypatch, command
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("loaded the dataset")
+
+    monkeypatch.setattr(dataio, "load_csv", fail)
+    a_file = tmp_path / "file.txt"
+    a_file.write_text("")
+    flags = ["--out", "--plot"] if command[0] == "sweep" else ["--out"]
+    targets = [
+        (str(tmp_path / "missing" / "x"), f"directory {tmp_path / 'missing'} does not exist"),
+        (str(a_file / "x"), f"{a_file} is not a directory"),
+        (str(tmp_path), f"{tmp_path} is a directory"),
+    ]
+    before = sorted(tmp_path.iterdir())
+    for flag in flags:
+        for target, message in targets:
+            for show in ([], ["--show-config"]):
+                argv = [command[0], xor_csv, *command[1:], flag, target, *show]
+                code, out, err = run(capsys, *argv)
+                assert code == 1
+                assert f"error: {flag}: {message}" in err
+                assert out == ""
+    assert sorted(tmp_path.iterdir()) == before
+    assert a_file.read_text() == ""
+
+    # a directory the process may not write to (root may write anywhere,
+    # so the permission answer is stubbed)
+    real_access = cli.os.access
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: (
+        mode != cli.os.W_OK and real_access(path, mode)))
+    for flag in flags:
+        for show in ([], ["--show-config"]):
+            argv = [command[0], xor_csv, *command[1:], flag, str(tmp_path / "x"), *show]
+            code, out, err = run(capsys, *argv)
+            assert code == 1
+            assert f"error: {flag}: directory {tmp_path} is not writable" in err
+            assert out == ""
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("value", ["-1", "-2"])

@@ -211,6 +211,36 @@ def test_shots_match_one_copy_per_shot(n):
         assert counts == expected
 
 
+def documented_retrieval_state(memory, probe):
+    """The retrieval circuit as documented: every CNOT(input -> memory) then X(memory)."""
+    n = memory.pattern_length
+    amps = np.zeros(2 ** (2 * n + 1), dtype=complex)
+    memory_index = np.arange(2**n) << n
+    amps[probe.to_index() + memory_index] = prepare_memory_state(memory).amplitudes
+    state = qsim.StateVector(2 * n + 1, amps)
+    for j in range(n):
+        qsim.apply_cnot(state, j, n + j)
+        qsim.apply_x(state, n + j)
+    qsim.apply_hadamard(state, 2 * n)
+    for j in range(n):
+        qsim.apply_phase(state, n + j, math.pi / (2 * n), on_value=0)
+        qsim.apply_phase(state, n + j, -math.pi / n, on_value=0, control=2 * n)
+    qsim.apply_hadamard(state, 2 * n)
+    for j in reversed(range(n)):
+        qsim.apply_x(state, n + j)
+        qsim.apply_cnot(state, j, n + j)
+    return state
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_fused_circuit_matches_documented_gates(n):
+    rng = np.random.default_rng(40 + n)
+    for trial in range(4):
+        memory, probe = random_memory(rng, n)
+        fused = retrieval_state(memory, probe).amplitudes.tobytes()
+        assert fused == documented_retrieval_state(memory, probe).amplitudes.tobytes()
+
+
 def test_given_state_matches_built_state():
     rng = np.random.default_rng(21)
     for n in (1, 3, 4):

@@ -117,6 +117,17 @@ def test_equal_indices_rejected():
         apply_phase(state, 2, 0.1, control=2)
 
 
+@pytest.mark.parametrize("value", [2, -1])
+def test_control_and_on_values_must_be_bits(value):
+    state = StateVector(3)
+    before = state.amplitudes.copy()
+    with pytest.raises(ValueError, match=f"control_value must be 0 or 1, got {value}"):
+        apply_cnot(state, 0, 2, control_value=value)
+    with pytest.raises(ValueError, match=f"on_value must be 0 or 1, got {value}"):
+        apply_phase(state, 1, 0.3, on_value=value, control=0)
+    assert np.array_equal(state.amplitudes, before)
+
+
 def test_bad_constructor():
     with pytest.raises(ValueError):
         StateVector(0)
@@ -227,6 +238,38 @@ def plain_halves(num_qubits, q):
     return tuple(sel0), tuple(sel1)
 
 
+def plain_block(view, num_qubits, fixed):
+    """Writable part of the (2,)*n view where each (qubit, value) in `fixed` holds.
+
+    The trailing Ellipsis keeps a fully indexed selection a 0-d array view.
+    """
+    sel = [slice(None)] * num_qubits
+    for q, v in fixed:
+        sel[num_qubits - 1 - q] = v
+    return view[tuple(sel) + (Ellipsis,)]
+
+
+def plain_swap(amps, num_qubits, fixed, target):
+    """Swap the target=0 and target=1 parts of the block where `fixed` holds."""
+    view = amps.copy().reshape([2] * num_qubits)
+    a = plain_block(view, num_qubits, fixed + [(target, 0)])
+    b = plain_block(view, num_qubits, fixed + [(target, 1)])
+    a0 = a.copy()
+    a[...] = b
+    b[...] = a0
+    return view.reshape(-1)
+
+
+def plain_phase(amps, num_qubits, q, angle, on_value, control):
+    view = amps.copy().reshape([2] * num_qubits)
+    fixed = [(q, on_value)] + ([] if control is None else [(control, 1)])
+    # in place: a 0-d `block * factor` would run numpy's scalar math, which
+    # may round the last bit differently from the array loop
+    block = plain_block(view, num_qubits, fixed)
+    block *= np.exp(1j * angle)
+    return view.reshape(-1)
+
+
 def plain_hadamard(amps, num_qubits, q):
     view = amps.copy().reshape([2] * num_qubits)
     i0, i1 = plain_halves(num_qubits, q)
@@ -262,3 +305,21 @@ def test_kernels_match_plain_formulas(num_qubits):
         for seed in range(4):
             outcome, post = measure_qubit(StateVector(num_qubits, amps), q, seed)
             assert np.array_equal(post.amplitudes, plain_measure(amps, num_qubits, q, outcome))
+
+        state = apply_x(StateVector(num_qubits, amps), q)
+        assert np.array_equal(state.amplitudes, plain_swap(amps, num_qubits, [], q))
+
+        angle = 0.3 + q
+        for on_value in (0, 1):
+            for control in [None] + [c for c in range(num_qubits) if c != q]:
+                state = apply_phase(StateVector(num_qubits, amps), q, angle, on_value, control)
+                expected = plain_phase(amps, num_qubits, q, angle, on_value, control)
+                assert np.array_equal(state.amplitudes, expected)
+
+        for control in range(num_qubits):
+            if control == q:
+                continue
+            for value in (0, 1):
+                state = apply_cnot(StateVector(num_qubits, amps), control, q, control_value=value)
+                expected = plain_swap(amps, num_qubits, [(control, value)], q)
+                assert np.array_equal(state.amplitudes, expected)
