@@ -74,7 +74,7 @@ class SplitSpec:
             )
 
 
-def load_csv(path, name: str | None = None) -> Dataset:
+def load_csv(path) -> Dataset:
     """Parse the documented CSV schema; malformed rows are reported by line number."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -129,7 +129,7 @@ def load_csv(path, name: str | None = None) -> Dataset:
         np.array(rows),
         np.array(labels),
         num_classes=len(mapping),
-        name=name or str(path),
+        name=str(path),
         label_names=tuple(mapping),
     )
 

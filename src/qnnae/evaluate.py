@@ -145,17 +145,13 @@ def architecture_for(dataset: Dataset, hidden: int, activation: str) -> MlpArchi
     return MlpArchitecture(dataset.num_features, hidden, output_dim, activation)
 
 
-def _sample_seed(seed: int, index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence((seed, index))
-
-
 def evaluate_weight_list(
     arch: MlpArchitecture,
     dataset: Dataset,
     weights: np.ndarray,
     train: bool,
     train_cfg: Optional[TrainConfig],
-    split_spec: SplitSpec,
+    split_spec: Optional[SplitSpec],
     seed: int,
     mode: str,
 ) -> ArchitectureReport:
@@ -164,13 +160,12 @@ def evaluate_weight_list(
     Training and classification run on fixed-size chunks of models, and the
     final reduction runs in sample order.  Each network is reduced to its
     number of validation misses; diverged trainings are excluded from the
-    memory and counted.
+    memory and counted.  `split_spec` defaults to a stratified split seeded by `seed`.
     """
-    x_train, y_train, x_val, y_val, mean, scale = standardized_splits(dataset, split_spec)
+    x_train, y_train, x_val, y_val, mean, scale = standardized_splits(
+        dataset, split_spec or SplitSpec(seed=seed)
+    )
     t_s = len(y_val)
-    if t_s == 0:
-        raise ValueError("validation set must be non-empty")
-    cfg = train_cfg or TrainConfig()
     weights = np.asarray(weights, dtype=np.float64)
 
     chunk_misses = []
@@ -178,7 +173,7 @@ def evaluate_weight_list(
     for start in range(0, len(weights), TRAIN_CHUNK):
         stack = weights[start : start + TRAIN_CHUNK]
         if train:
-            stack, diverged = mlp.train_batch(arch, stack, x_train, y_train, cfg, mean, scale)
+            stack, diverged = mlp.train_batch(arch, stack, x_train, y_train, train_cfg, mean, scale)
         else:
             diverged = np.zeros(len(stack), dtype=bool)
         for row in np.flatnonzero(diverged):
@@ -213,12 +208,11 @@ def evaluate_sampled(
     """Train `num_samples` independent random initializations and score them."""
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    spec = split_spec or SplitSpec(seed=seed)
     weights = np.stack(
-        [mlp.init_weights(arch, _sample_seed(seed, i)) for i in range(num_samples)]
+        [mlp.init_weights(arch, np.random.SeedSequence((seed, i))) for i in range(num_samples)]
     )
     return evaluate_weight_list(
-        arch, dataset, weights, True, train_cfg, spec, seed, "sampled"
+        arch, dataset, weights, True, train_cfg, split_spec, seed, "sampled"
     )
 
 
@@ -242,7 +236,6 @@ def evaluate_exhaustive(
         )
     if grid.num_points > grid.budget:
         raise BudgetExceededError(grid.num_points, grid.budget)
-    spec = split_spec or SplitSpec(seed=seed)
     levels = np.array(grid.levels, dtype=np.float64)
     index = np.arange(grid.num_points)
     weights = np.empty((grid.num_points, grid.weight_count))
@@ -250,7 +243,7 @@ def evaluate_exhaustive(
         place = len(levels) ** (grid.weight_count - 1 - j)
         weights[:, j] = levels[index // place % len(levels)]
     return evaluate_weight_list(
-        arch, dataset, weights, train, train_cfg, spec, seed, "exhaustive"
+        arch, dataset, weights, train, train_cfg, split_spec, seed, "exhaustive"
     )
 
 

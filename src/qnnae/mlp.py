@@ -159,7 +159,7 @@ def _loss_only(
     l2_alpha: float,
 ) -> float:
     """One-model `batched_loss`."""
-    return float(batched_loss(arch, w[None, :], x, y, l2_alpha)[0])
+    return float(batched_loss(arch, w[None, :], x, y, l2_alpha)[0][0])
 
 
 def loss_and_grad(
@@ -264,31 +264,14 @@ def _batched_data_loss(arch: MlpArchitecture, z: np.ndarray, y: np.ndarray) -> n
     return np.add.reduce(t, axis=1) / n
 
 
-def _batched_forward(
+def batched_loss(
     arch: MlpArchitecture, w: np.ndarray, x: np.ndarray, y: np.ndarray, l2_alpha: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-model losses, hidden activations and raw scores for a (S, weight_count) stack."""
+    """Per-model losses of a (S, weight_count) stack, with the forward state
+    `(loss, hidden, z)` that `batched_loss_and_grad(..., forward=)` accepts."""
     hidden, z = _batched_scores(arch, w, x)
     loss = _batched_data_loss(arch, z, y) + 0.5 * l2_alpha * np.sum(w * w, axis=1)
     return loss, hidden, z
-
-
-def batched_loss(
-    arch: MlpArchitecture,
-    w: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    l2_alpha: float,
-    *,
-    return_forward: bool = False,
-):
-    """Per-model losses for a (S, weight_count) stack.
-
-    With `return_forward`, returns `(loss, hidden, z)` instead: the forward
-    state that `batched_loss_and_grad(..., forward=)` accepts for these rows.
-    """
-    forward_state = _batched_forward(arch, w, x, y, l2_alpha)
-    return forward_state if return_forward else forward_state[0]
 
 
 def batched_loss_and_grad(
@@ -303,14 +286,15 @@ def batched_loss_and_grad(
     """Per-model losses and their analytic gradients for a (S, weight_count) stack.
 
     `forward` is the `(loss, hidden, z)` of these same rows, as returned by
-    `batched_loss(..., return_forward=True)`; given it, the forward pass is
-    not run again.
+    `batched_loss`; given it, the forward pass is not run again.
     """
     n = x.shape[0]
     w1, w2 = _batched_unpack(arch, w)
-    loss, hidden, z = forward if forward is not None else _batched_forward(
-        arch, w, x, y, l2_alpha
-    )
+    if forward is None:
+        hidden, z = _batched_scores(arch, w, x)
+        loss = _batched_data_loss(arch, z, y) + 0.5 * l2_alpha * np.sum(w * w, axis=1)
+    else:
+        loss, hidden, z = forward
     if arch.output_dim == 1:
         dz = _activate(z, "logistic")
         dz -= y[:, None]
@@ -379,9 +363,7 @@ def train_batch(
         pieces = []
         while idx.size:
             w_try = w_s - step_s[:, None] * grad_s
-            loss_try, hidden_try, z_try = batched_loss(
-                arch, w_try, x, y, config.l2_alpha, return_forward=True
-            )
+            loss_try, hidden_try, z_try = batched_loss(arch, w_try, x, y, config.l2_alpha)
             ok = np.isfinite(loss_try) & (loss_try <= loss_s - 1e-4 * step_s * gnorm_s)
             if ok.all():
                 pieces.append((idx, w_try, loss_try, hidden_try, z_try))

@@ -129,10 +129,6 @@ class PatternMemory:
             raise ValueError(f"{path}: no patterns")
         return cls(strings)
 
-    @property
-    def num_patterns(self) -> int:
-        return len(self.patterns)
-
     def __len__(self) -> int:
         return len(self.patterns)
 
@@ -170,14 +166,14 @@ def retrieve_analytic(memory: PatternMemory, input_pattern: BitString) -> Retrie
         theta = math.pi * hamming_distance(input_pattern, pattern) / (2 * n)
         p0 += math.cos(theta) ** 2
         p1 += math.sin(theta) ** 2
-    p = memory.num_patterns
+    p = len(memory)
     return RetrievalOutcome(p0 / p, p1 / p)
 
 
 def prepare_memory_state(memory: PatternMemory) -> qsim.StateVector:
     """Uniform-superposition storage state: amplitude sqrt(mult/p) per distinct pattern."""
     n = memory.pattern_length
-    p = memory.num_patterns
+    p = len(memory)
     amps = np.zeros(2**n, dtype=np.complex128)
     for pattern, mult in Counter(memory.patterns).items():
         amps[pattern.to_index()] = math.sqrt(mult / p)

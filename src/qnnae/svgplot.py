@@ -4,7 +4,7 @@ Output is deterministic: fixed layout, fixed float formatting.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 WIDTH = 640
 HEIGHT = 480
@@ -41,8 +41,8 @@ def write_scatter(
     ys: Sequence[float],
     xlabel: str,
     ylabel: str,
-    title: Optional[str] = None,
-    point_labels: Optional[Sequence[str]] = None,
+    title: str,
+    point_labels: Sequence[str],
 ) -> None:
     """Scatter plot with linear axes, tick labels, and one circle per point."""
     if len(xs) != len(ys):
@@ -97,21 +97,19 @@ def write_scatter(
         f'<text x="18" y="{MARGIN_TOP + plot_h / 2}" font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2})">{_escape(ylabel)}</text>'
     )
-    if title:
-        parts.append(
-            f'<text x="{WIDTH / 2}" y="22" font-size="14" text-anchor="middle">'
-            f'{_escape(title)}</text>'
-        )
-    for i, (x, y) in enumerate(zip(xs, ys)):
+    parts.append(
+        f'<text x="{WIDTH / 2}" y="22" font-size="14" text-anchor="middle">'
+        f'{_escape(title)}</text>'
+    )
+    for x, y, label in zip(xs, ys, point_labels):
         parts.append(
             f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="3.5" '
             'fill="steelblue" fill-opacity="0.8"/>'
         )
-        if point_labels is not None:
-            parts.append(
-                f'<text x="{_fmt(px(x) + 5)}" y="{_fmt(py(y) - 5)}" '
-                f'font-size="9">{_escape(point_labels[i])}</text>'
-            )
+        parts.append(
+            f'<text x="{_fmt(px(x) + 5)}" y="{_fmt(py(y) - 5)}" '
+            f'font-size="9">{_escape(label)}</text>'
+        )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

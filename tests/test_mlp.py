@@ -234,10 +234,10 @@ def test_batched_loss_and_grad_match_reference():
         stack = np.stack([init_weights(arch, s) for s in range(4)])
         x = rng.normal(size=(9, 3))
         y = rng.integers(0, arch.num_classes, 9)
-        losses = mlp.batched_loss(arch, stack, x, y, l2)
+        losses = mlp.batched_loss(arch, stack, x, y, l2)[0]
         grad_losses, grads = mlp.batched_loss_and_grad(arch, stack, x, y, l2)
         # the gradient from a reused forward state is the same to the bit
-        state = mlp.batched_loss(arch, stack, x, y, l2, return_forward=True)
+        state = mlp.batched_loss(arch, stack, x, y, l2)
         assert np.array_equal(state[0], losses)
         reused_losses, reused_grads = mlp.batched_loss_and_grad(
             arch, stack, x, y, l2, forward=state
@@ -484,7 +484,7 @@ def _check_kernels_against_plain(data, output_dim, activation, class_sum):
     l2 = data.draw(st.sampled_from([0.0, 1e-5, 0.3]))
     with np.errstate(all="ignore"):
         want_loss, want_grad = plain_loss_and_grad(arch, w, x, y, l2, class_sum)
-        state = mlp.batched_loss(arch, w, x, y, l2, return_forward=True)
+        state = mlp.batched_loss(arch, w, x, y, l2)
         for forward_state in (None, state):
             loss, grad = mlp.batched_loss_and_grad(arch, w, x, y, l2, forward=forward_state)
             assert np.array_equal(loss, want_loss, equal_nan=True)
@@ -534,7 +534,7 @@ def reference_train_batch(arch, weights, x, y, config):
         w_next = w.copy()
         while searching.any():
             w_try = w[searching] - step[searching, None] * grad[searching]
-            loss_try = mlp.batched_loss(arch, w_try, x, y, config.l2_alpha)
+            loss_try = mlp.batched_loss(arch, w_try, x, y, config.l2_alpha)[0]
             ok = np.isfinite(loss_try) & (
                 loss_try
                 <= loss[searching] - 1e-4 * step[searching] * gnorm_sq[searching]
@@ -603,7 +603,7 @@ def test_train_batch_matches_reference_trainer_with_diverging_rows(monkeypatch):
 
     monkeypatch.setattr(mlp, "batched_loss_and_grad", overflowing)
     with np.errstate(all="ignore"):
-        initial = mlp.batched_loss(arch, stack, x, y.astype(np.float64), cfg.l2_alpha)
+        initial = mlp.batched_loss(arch, stack, x, y.astype(np.float64), cfg.l2_alpha)[0]
         got_w, got_diverged = mlp.train_batch(arch, stack, x, y, cfg)
         want_w, want_diverged = reference_train_batch(arch, stack, x, y, cfg)
     assert np.array_equal(got_w, want_w)
