@@ -6,7 +6,8 @@ Subcommands:
     sweep     score a range of hidden-neuron counts, with CSV/SVG export
     synth     generate a synthetic CSV dataset
 
-Exit codes: 0 success, 1 input/data error, 2 resource/budget error.
+Exit codes: 0 success; 1 input/data error; 2 resource error (grid budget,
+circuit capacity, out of memory) or a malformed command line.
 Option precedence: command-line flags > config file (`--config`, key=value
 lines) > built-in defaults.  All randomness flows from --seed (default 0,
 never time-based).
@@ -42,7 +43,7 @@ DEFAULTS = {
 
 def _load_config_file(path) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with dataio.open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -327,6 +328,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except (pqm.CapacityError, evaluate.BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ mapping is kept on the Dataset.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -74,9 +75,23 @@ class SplitSpec:
             )
 
 
+def open_text(path, newline=None) -> io.StringIO:
+    """The UTF-8 text of `path`, split into lines as `open(path, encoding="utf-8",
+    newline=newline)` would; bytes that are not UTF-8 are reported by line number."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start]  # lines end at \n, \r or \r\n, as open() splits them
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        raise ValueError(f"{path}:{line}: not UTF-8 text") from None
+    return io.StringIO(text, newline=newline)
+
+
 def load_csv(path) -> Dataset:
     """Parse the documented CSV schema; malformed rows are reported by line number."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

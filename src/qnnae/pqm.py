@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from . import qsim
+from . import dataio, qsim
 
 MAX_PATTERN_QUBITS = 10
 
@@ -110,7 +110,7 @@ class PatternMemory:
     def from_file(cls, path) -> "PatternMemory":
         """One bit string per line; blank lines and `#` comments are skipped."""
         strings = []
-        with open(path, "r", encoding="utf-8") as fh:
+        with dataio.open_text(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:

@@ -194,6 +194,45 @@ def test_evaluate_missing_dataset(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("kind, data, lineno", [
+    ("csv", b"f1,f2,label\n0,1,a\n\xff,2,b\n", 3),
+    ("memory", b"01\r\n1\xe90\n", 2),
+    ("config", b"seed=1\r# caf\xe9\nsamples=2\n", 2),
+], ids=["csv", "memory", "config"])
+def test_non_utf8_input_names_file_and_line(xor_csv, tmp_path, capsys, kind, data, lineno):
+    path = tmp_path / f"bad.{kind}"
+    path.write_bytes(data)
+    argv = {
+        "csv": ["evaluate", str(path), "--hidden", "1"],
+        "memory": ["pqm", str(path), "01"],
+        "config": ["evaluate", xor_csv, "--hidden", "1", "--config", str(path)],
+    }[kind]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err == f"error: {path}:{lineno}: not UTF-8 text\n"
+    assert out == ""
+
+
+def test_out_of_memory_is_a_resource_error(xor_csv, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 21.8 TiB")
+
+    monkeypatch.setattr(mlp, "init_weights", fail)
+    code, out, err = run(capsys, "evaluate", xor_csv, "--hidden", "1", "--samples", "1")
+    assert code == cli.EXIT_RESOURCE_ERROR == 2
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 21.8 TiB\n"
+    assert "Traceback" not in err
+
+
+def test_malformed_command_line_exits_2(xor_csv, capsys):
+    for argv in (["evaluate", xor_csv, "--hidden", "abc"], ["sweep", xor_csv, "--warp"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
 def test_show_config_reports_defaults(xor_csv, capsys):
     code, out, _ = run(capsys, "evaluate", xor_csv, "--hidden", "2", "--show-config")
     assert code == 0
