@@ -27,13 +27,13 @@ EXIT_INPUT_ERROR = 1
 EXIT_RESOURCE_ERROR = 2
 
 DEFAULTS = {
-    "alpha": 1e-5,
-    "max_iter": 400,
-    "learning_rate": 1.0,
-    "tolerance": 1e-5,
+    "alpha": TrainConfig.l2_alpha,
+    "max_iter": TrainConfig.max_iter,
+    "learning_rate": TrainConfig.learning_rate,
+    "tolerance": TrainConfig.tolerance,
     "samples": evaluate.DEFAULT_NUM_SAMPLES,
     "seed": 0,
-    "train_fraction": 0.1,
+    "train_fraction": dataio.SplitSpec.train_fraction,
     "hidden_lo": evaluate.DEFAULT_HIDDEN_RANGE[0],
     "hidden_hi": evaluate.DEFAULT_HIDDEN_RANGE[1],
     "activation": "logistic",
@@ -128,14 +128,17 @@ def _config_summary(cfg: dict) -> str:
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--alpha", type=float, help="L2 penalty (default 1e-5)")
-    parser.add_argument("--max-iter", dest="max_iter", type=int, help="training iterations (default 400)")
+    parser.add_argument("--alpha", type=float,
+                        help=f"L2 penalty (default {DEFAULTS['alpha']})")
+    parser.add_argument("--max-iter", dest="max_iter", type=int,
+                        help=f"training iterations (default {DEFAULTS['max_iter']})")
     parser.add_argument("--learning-rate", dest="learning_rate", type=float)
     parser.add_argument("--tolerance", type=float, help="gradient-norm stopping tolerance")
-    parser.add_argument("--samples", type=int, help="weight samples per architecture (default 1000)")
-    parser.add_argument("--seed", type=int, help="master RNG seed (default 0)")
+    parser.add_argument("--samples", type=int,
+                        help=f"weight samples per architecture (default {DEFAULTS['samples']})")
+    parser.add_argument("--seed", type=int, help=f"master RNG seed (default {DEFAULTS['seed']})")
     parser.add_argument("--train-fraction", dest="train_fraction", type=float,
-                        help="train split fraction (default 0.1)")
+                        help=f"train split fraction (default {DEFAULTS['train_fraction']})")
     parser.add_argument("--activation", choices=ACTIVATIONS)
     parser.add_argument("--threads", type=int, help="accepted, but work runs in one thread")
     parser.add_argument("--show-config", action="store_true",
@@ -162,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="enumerate a weight grid instead of sampling")
     p_eval.add_argument("--levels",
                         help="comma-separated grid levels (exhaustive mode; default -1,0,1)")
-    p_eval.add_argument("--budget", type=int, help="max grid points (default 3^12)")
+    p_eval.add_argument("--budget", type=int,
+                        help=f"max grid points (default {DEFAULTS['budget']})")
     p_eval.add_argument("--train-grid", action="store_true",
                         help="train each grid point (exhaustive mode)")
     p_eval.add_argument("--out", help="write the report CSV here")
@@ -171,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="score a hidden-neuron range")
     p_sweep.add_argument("dataset")
     p_sweep.add_argument("--hidden-range", dest="hidden_range", type=int, nargs=2,
-                         metavar=("LO", "HI"), help="half-open range (default 1 20)")
+                         metavar=("LO", "HI"), help=f"half-open range (default {DEFAULTS['hidden_lo']} {DEFAULTS['hidden_hi']})")
     p_sweep.add_argument("--out", help="write the report CSV here (default stdout)")
     p_sweep.add_argument("--plot", help="write an accuracy-vs-score SVG scatter here")
     _add_common_options(p_sweep)

@@ -107,9 +107,11 @@ def load_csv(path) -> Dataset:
 
         rows: List[List[float]] = []
         raw_labels: List[str] = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            # the file line the record ends on; a quoted field may span lines
+            lineno = reader.line_num
             if len(row) != len(header):
                 raise ValueError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"

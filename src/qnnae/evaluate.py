@@ -10,7 +10,8 @@ performance vectors:
 Sampled mode trains many random initializations; exhaustive mode enumerates a
 quantized weight grid.  All randomness derives from a single seed, and the
 score reduction runs in fixed sample order, so reports are reproducible
-bit-for-bit.
+bit-for-bit.  The score is read through `pqm.retrieve_from_distances`, the one
+copy of the retrieval formula, with each network's miss count as its distance.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import mlp
+from . import mlp, pqm
 from .dataio import Dataset, SplitSpec, split
 from .mlp import MlpArchitecture, MlpModel, TrainConfig
 from .pqm import BitString
@@ -36,10 +37,17 @@ TRAIN_CHUNK = 64
 
 
 class BudgetExceededError(RuntimeError):
-    def __init__(self, required: int, budget: int):
-        super().__init__(f"grid needs {required} points, budget is {budget}")
-        self.required = required
+    """Named as a power, so a grid too large to count gets a short message."""
+
+    def __init__(self, levels: int, weight_count: int, budget: int):
+        super().__init__(f"grid needs {levels}^{weight_count} points, budget is {budget}")
+        self.levels = levels
+        self.weight_count = weight_count
         self.budget = budget
+
+    @property
+    def required(self) -> int:
+        return self.levels**self.weight_count
 
 
 @dataclass(frozen=True)
@@ -100,14 +108,6 @@ def performance_vector(
     return PerformanceVector(BitString(bits))
 
 
-def _score_from_misses(misses: Sequence[int], t_s: int) -> float:
-    """Mean of cos^2(pi * misses / (2 t_s)), summed left to right in sample order."""
-    total = 0.0
-    for m in misses:
-        total += math.cos(math.pi * m / (2 * t_s)) ** 2
-    return total / len(misses)
-
-
 def score(performances: Sequence[PerformanceVector], t_s: int) -> float:
     """Retrieval probability of the all-ones input against the performance memory."""
     if not performances:
@@ -115,7 +115,10 @@ def score(performances: Sequence[PerformanceVector], t_s: int) -> float:
     for perf in performances:
         if len(perf) != t_s:
             raise ValueError(f"performance vector length {len(perf)} != t_s {t_s}")
-    return _score_from_misses([t_s - sum(perf.bits) for perf in performances], t_s)
+    # a miss count is the Hamming distance from the all-ones probe
+    return pqm.retrieve_from_distances(
+        [t_s - sum(perf.bits) for perf in performances], t_s
+    ).p0
 
 
 def standardized_splits(
@@ -187,7 +190,7 @@ def evaluate_weight_list(
     accuracies = (t_s - misses) / t_s
     return ArchitectureReport(
         architecture=arch,
-        score_p0=_score_from_misses(misses.tolist(), t_s),
+        score_p0=pqm.retrieve_from_distances(misses.tolist(), t_s).p0,
         mean_accuracy=float(accuracies.mean()),
         accuracy_per_sample=accuracies,
         num_samples=misses.size,
@@ -234,8 +237,11 @@ def evaluate_exhaustive(
         raise ValueError(
             f"grid is over {grid.weight_count} weights, architecture has {arch.weight_count}"
         )
-    if grid.num_points > grid.budget:
-        raise BudgetExceededError(grid.num_points, grid.budget)
+    # with 2 or more levels, W weights give at least 2^W points, which exceeds
+    # any budget of fewer than W bits: decided without computing the power
+    num_levels, width = len(grid.levels), grid.weight_count
+    if (num_levels > 1 and width > grid.budget.bit_length()) or grid.num_points > grid.budget:
+        raise BudgetExceededError(num_levels, width, grid.budget)
     levels = np.array(grid.levels, dtype=np.float64)
     index = np.arange(grid.num_points)
     weights = np.empty((grid.num_points, grid.weight_count))

@@ -188,16 +188,6 @@ def train(
     arch = model.architecture
     if model.weights.ndim != 1:
         raise ValueError("train takes one network; train_batch trains a stack")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y).reshape(-1)
-    if x.ndim != 2 or x.shape[1] != arch.input_dim:
-        raise ValueError(f"expected feature matrix with {arch.input_dim} columns")
-    if x.shape[0] == 0:
-        raise ValueError("training set must be non-empty")
-    if y.shape[0] != x.shape[0]:
-        raise ValueError("feature and label counts differ")
-    if y.min() < 0 or y.max() >= arch.num_classes:
-        raise ValueError(f"labels must lie in [0, {arch.num_classes})")
     w, diverged = train_batch(
         arch, model.weights[None, :], x, y, config, model.feature_mean, model.feature_scale
     )
@@ -332,7 +322,8 @@ def train_batch(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Train a stack of models by full-batch gradient descent with Armijo backtracking.
 
-    Each row keeps its own step size and Armijo acceptance.  Returns the final
+    x is (n, input_dim) with n >= 1 and y holds n labels in [0, num_classes),
+    else ValueError.  Each row keeps its own step size and Armijo acceptance.  Returns the final
     (S, weight_count) weights and a boolean mask of models whose loss went
     non-finite (their row holds the last finite weights).
     """
@@ -341,9 +332,17 @@ def train_batch(
     if w.ndim != 2 or w.shape[1] != arch.weight_count:
         raise ValueError(f"expected (S, {arch.weight_count}) weight stack")
     x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y).reshape(-1)
+    if x.ndim != 2 or x.shape[1] != arch.input_dim:
+        raise ValueError(f"expected feature matrix with {arch.input_dim} columns")
+    if x.shape[0] == 0:
+        raise ValueError("training set must be non-empty")
+    if y.shape[0] != x.shape[0]:
+        raise ValueError("feature and label counts differ")
+    if y.min() < 0 or y.max() >= arch.num_classes:
+        raise ValueError(f"labels must lie in [0, {arch.num_classes})")
     if feature_mean is not None:
         x = (x - feature_mean) / feature_scale
-    y = np.asarray(y).reshape(-1)
     if arch.output_dim == 1:
         y = y.astype(np.float64)
 

@@ -5,15 +5,16 @@ with an input pattern yields a control bit that reads 0 with probability
 
     P(c=0) = (1/p) * sum_k cos^2(pi * d_H(input, pattern_k) / (2n))
 
-Both an analytic evaluation and a circuit-level realization on the state-vector
-simulator are provided; they must agree, and tests enforce that.
+Both an analytic evaluation (`retrieve_from_distances`, the formula's one copy)
+and a circuit-level realization on the state-vector simulator are provided; they
+must agree, and tests enforce that.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -156,18 +157,35 @@ def _check_input(memory: PatternMemory, input_pattern: BitString) -> None:
         )
 
 
+def retrieve_from_distances(distances: Sequence[int], n: int) -> RetrievalOutcome:
+    """P(c=0) and P(c=1) of a memory whose n-bit patterns lie at these Hamming
+    distances from the input: the one copy of the formula above.
+
+    Each of the n+1 possible terms is computed once, then the terms are summed
+    left to right in the order of `distances`.
+    """
+    if len(distances) == 0:
+        raise ValueError("need at least one distance")
+    if n < 1 or min(distances) < 0 or max(distances) > n:
+        raise ValueError(f"distances must lie in [0, {n}] with n >= 1")
+    cos_sq = [math.cos(math.pi * d / (2 * n)) ** 2 for d in range(n + 1)]
+    sin_sq = [math.sin(math.pi * d / (2 * n)) ** 2 for d in range(n + 1)]
+    p0 = 0.0
+    p1 = 0.0
+    for d in distances:
+        p0 += cos_sq[d]
+        p1 += sin_sq[d]
+    p = len(distances)
+    return RetrievalOutcome(p0 / p, p1 / p)
+
+
 def retrieve_analytic(memory: PatternMemory, input_pattern: BitString) -> RetrievalOutcome:
     """Closed-form retrieval probabilities; duplicates count once per occurrence."""
     _check_input(memory, input_pattern)
-    n = memory.pattern_length
-    p0 = 0.0
-    p1 = 0.0
-    for pattern in memory.patterns:
-        theta = math.pi * hamming_distance(input_pattern, pattern) / (2 * n)
-        p0 += math.cos(theta) ** 2
-        p1 += math.sin(theta) ** 2
-    p = len(memory)
-    return RetrievalOutcome(p0 / p, p1 / p)
+    return retrieve_from_distances(
+        [hamming_distance(input_pattern, pattern) for pattern in memory.patterns],
+        memory.pattern_length,
+    )
 
 
 def prepare_memory_state(memory: PatternMemory) -> qsim.StateVector:
@@ -186,7 +204,31 @@ def retrieval_state(memory: PatternMemory, input_pattern: BitString) -> qsim.Sta
     Register layout (little-endian qubit indices): input on [0, n), memory on
     [n, 2n), control on 2n.  Bit k of a pattern string maps to qubit n-1-k of
     its register, so a register's integer value equals the bit string read as
-    binary.
+    binary.  The memory register starts in `prepare_memory_state`, the input
+    register in the input pattern, and `apply_retrieval` runs the gates.
+    """
+    _check_input(memory, input_pattern)
+    n = memory.pattern_length
+    if n > MAX_PATTERN_QUBITS:
+        raise CapacityError(
+            f"retrieval circuit needs {2 * n + 1} qubits; "
+            f"pattern length is limited to {MAX_PATTERN_QUBITS}"
+        )
+    state = qsim.StateVector(2 * n + 1)
+    state.amplitudes[0] = 0.0
+    memory_index = np.arange(2**n) << n
+    state.amplitudes[input_pattern.to_index() + memory_index] = (
+        prepare_memory_state(memory).amplitudes
+    )
+    return apply_retrieval(state, n)
+
+
+def apply_retrieval(state: qsim.StateVector, n: int) -> qsim.StateVector:
+    """Run the retrieval gates on qubits [0, 2n] of `state`, in place.
+
+    Qubits [0, n) hold the input, [n, 2n) the memory and 2n the control, laid
+    out as in `retrieval_state`; qubits above 2n are left alone, so a memory
+    entangled with a higher register is probed branch by branch.
 
     Circuit: for each position, CNOT(input -> memory) then X(memory), leaving
     memory qubits 0 exactly where the bits differ; H on control; phase
@@ -204,22 +246,9 @@ def retrieval_state(memory: PatternMemory, input_pattern: BitString) -> qsim.Sta
     uncomputes the layer.  It moves one quarter-block pair instead of a
     quarter pair and then a half pair.
     """
-    _check_input(memory, input_pattern)
-    n = memory.pattern_length
-    if n > MAX_PATTERN_QUBITS:
-        raise CapacityError(
-            f"retrieval circuit needs {2 * n + 1} qubits; "
-            f"pattern length is limited to {MAX_PATTERN_QUBITS}"
-        )
+    if state.num_qubits < 2 * n + 1:
+        raise ValueError(f"retrieval needs at least {2 * n + 1} qubits, got {state.num_qubits}")
     control = 2 * n
-
-    state = qsim.StateVector(2 * n + 1)
-    state.amplitudes[0] = 0.0
-    memory_index = np.arange(2**n) << n
-    state.amplitudes[input_pattern.to_index() + memory_index] = (
-        prepare_memory_state(memory).amplitudes
-    )
-
     for j in range(n):
         qsim.apply_cnot(state, control=j, target=n + j, control_value=0)
     qsim.apply_hadamard(state, control)

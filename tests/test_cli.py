@@ -166,6 +166,17 @@ def test_evaluate_exhaustive_budget_error(xor_csv, capsys):
     assert "budget" in err
 
 
+def test_evaluate_exhaustive_far_over_budget_fails_fast(xor_csv, capsys):
+    # 3^4000001 points: refused without computing the power or printing it
+    code, out, err = run(
+        capsys, "evaluate", xor_csv, "--hidden", "1000000", "--exhaustive"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: grid needs 3^4000001 points, budget is 531441\n"
+    assert len(err.encode()) < 200
+
+
 def test_evaluate_exhaustive_small_grid(xor_csv, capsys):
     code, out, _ = run(
         capsys, "evaluate", xor_csv, "--hidden", "1", "--exhaustive",

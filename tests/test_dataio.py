@@ -199,3 +199,11 @@ def test_two_gaussians_learnable():
         mlp.MlpArchitecture(2, 2, 1), ds, num_samples=5, seed=11
     )
     assert report.mean_accuracy >= 0.95
+
+
+def test_errors_name_the_file_line_after_a_multiline_field(tmp_path):
+    # the quoted field on lines 2-3 is one record; the bad record is on line 4
+    for bad_row in ("1,x,b", "1,b"):
+        path = write(tmp_path, f'f1,f2,label\n0,"1\n",a\n{bad_row}\n', name="ml.csv")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4:")):
+            load_csv(path)

@@ -612,3 +612,19 @@ def test_train_batch_matches_reference_trainer_with_diverging_rows(monkeypatch):
     # some rows went bad after an accepted step, some never did
     mid_training = got_diverged & np.isfinite(initial)
     assert mid_training.any() and not got_diverged.all()
+
+
+def test_train_batch_validates_inputs():
+    binary = MlpArchitecture(2, 2, 1)
+    three = MlpArchitecture(2, 2, 3)
+    cases = [
+        (binary, XOR_X, np.array([0, 1, 2, 0]), "labels must lie in \\[0, 2\\)"),
+        (three, XOR_X, np.array([0, 1, 5, 0]), "labels must lie in \\[0, 3\\)"),
+        (binary, np.zeros((4, 3)), XOR_Y, "expected feature matrix with 2 columns"),
+        (binary, XOR_X, XOR_Y[:3], "feature and label counts differ"),
+        (binary, np.zeros((0, 2)), np.zeros(0, dtype=np.int64), "must be non-empty"),
+    ]
+    for arch, x, y, message in cases:
+        stack = np.stack([init_weights(arch, s) for s in range(2)])
+        with pytest.raises(ValueError, match=message):
+            mlp.train_batch(arch, stack, x, y)

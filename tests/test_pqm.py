@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qnnae import cli, pqm, qsim
+from qnnae import cli, evaluate, pqm, qsim
 from qnnae.pqm import (
     BitString,
     CapacityError,
@@ -362,3 +362,33 @@ def test_memory_file_unequal_lengths(tmp_path):
     path.write_text("0101\n011\n")
     with pytest.raises(ValueError):
         PatternMemory.from_file(path)
+
+
+# ---------------------------------------------------------------------------
+# the retrieval formula from distances
+# ---------------------------------------------------------------------------
+
+def test_retrieve_from_distances_rejects_bad_input():
+    with pytest.raises(ValueError, match="at least one"):
+        pqm.retrieve_from_distances([], 3)
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match=r"\[0, 3\]"):
+            pqm.retrieve_from_distances([0, bad, 1], 3)
+
+
+def test_retrieve_from_distances_is_the_analytic_and_score_formula():
+    rng = np.random.default_rng(77)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        memory, probe = random_memory(rng, n)
+        distances = [hamming_distance(probe, pattern) for pattern in memory]
+        assert pqm.retrieve_from_distances(distances, n) == retrieve_analytic(memory, probe)
+        performances = [evaluate.PerformanceVector(p) for p in memory]
+        ones = BitString.ones(n)
+        misses = [hamming_distance(ones, pattern) for pattern in memory]
+        assert pqm.retrieve_from_distances(misses, n).p0 == evaluate.score(performances, n)
+
+
+def test_apply_retrieval_needs_room_for_its_registers():
+    with pytest.raises(ValueError, match="at least 5 qubits, got 4"):
+        pqm.apply_retrieval(qsim.StateVector(4), 2)
