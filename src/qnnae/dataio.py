@@ -24,6 +24,7 @@ class Dataset:
     num_classes: int
     name: str = "dataset"
     label_names: Tuple[str, ...] = ()
+    feature_names: Tuple[str, ...] = ()
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -42,6 +43,12 @@ class Dataset:
             raise ValueError("need at least 2 classes")
         if not self.label_names:
             self.label_names = tuple(str(c) for c in range(self.num_classes))
+        if not self.feature_names:
+            self.feature_names = tuple(f"f{i + 1}" for i in range(self.num_features))
+        if len(self.feature_names) != self.num_features:
+            raise ValueError(
+                f"{len(self.feature_names)} feature names for {self.num_features} features"
+            )
 
     @property
     def num_examples(self) -> int:
@@ -59,6 +66,7 @@ class Dataset:
             self.num_classes,
             self.name + name_suffix,
             self.label_names,
+            self.feature_names,
         )
 
 
@@ -148,6 +156,7 @@ def load_csv(path) -> Dataset:
         num_classes=len(mapping),
         name=str(path),
         label_names=tuple(mapping),
+        feature_names=tuple(header[i] for i in feature_cols),
     )
 
 

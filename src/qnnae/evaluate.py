@@ -127,12 +127,23 @@ def standardized_splits(
     """Split and return (x_train, y_train, x_val, y_val, mean, scale).
 
     Standardization statistics come from the train split only; constant
-    features keep scale 1 so they standardize to zero.
+    features keep scale 1 so they standardize to zero.  A feature whose mean,
+    scale or any standardized value overflows to a non-finite number is a
+    ValueError naming its column.
     """
     train, validation = split(dataset, split_spec)
-    mean = train.features.mean(axis=0)
-    scale = train.features.std(axis=0)
-    scale[scale == 0.0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.features.mean(axis=0)
+        scale = train.features.std(axis=0)
+        scale[scale == 0.0] = 1.0
+        finite = np.isfinite(mean) & np.isfinite(scale)
+        for features in (train.features, validation.features):
+            finite &= np.isfinite((features - mean) / scale).all(axis=0)
+    if not finite.all():
+        column = dataset.feature_names[int(np.argmin(finite))]
+        raise ValueError(
+            f"feature column {column} overflows when standardized; rescale its values"
+        )
     return (
         train.features,
         train.labels,

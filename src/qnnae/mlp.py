@@ -134,7 +134,18 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     xb = x.reshape(-1, arch.input_dim)
     if model.feature_mean is not None:
         xb = (xb - model.feature_mean) / model.feature_scale
-    _, scores = _batched_scores(arch, w.reshape(-1, arch.weight_count), xb)
+    stack = w.reshape(-1, arch.weight_count)
+    w1, w2 = _batched_unpack(arch, stack)
+    # a run of rows whose input-to-hidden weights are bit-for-bit equal (as a
+    # grid in product order has) shares one hidden layer; -0.0 and 0.0 differ
+    first = stack[:, : (arch.input_dim + 1) * arch.hidden_neurons].view(np.int64)
+    new_run = np.ones(len(stack), dtype=bool)
+    new_run[1:] = np.any(first[1:] != first[:-1], axis=1)
+    starts = np.flatnonzero(new_run)
+    hidden = _hidden_layer(arch, w1[starts], xb)
+    if len(starts) < len(stack):
+        hidden = np.repeat(hidden, np.diff(starts, append=len(stack)), axis=0)
+    scores = _output_layer(hidden, w2)
     return scores.reshape(w.shape[:-1] + x.shape[:-1] + (arch.output_dim,))
 
 
@@ -209,12 +220,22 @@ def _batched_scores(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Hidden activations and raw scores for a stack of models; shapes (S,n,h), (S,n,o)."""
     w1, w2 = _batched_unpack(arch, w)
+    hidden = _hidden_layer(arch, w1, x)
+    return hidden, _output_layer(hidden, w2)
+
+
+def _hidden_layer(arch: MlpArchitecture, w1: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(S, n, h) hidden activations of (S, d+1, h) input-to-hidden matrices."""
     z1 = x @ w1[:, :-1]
     z1 += w1[:, -1][:, None, :]
-    hidden = _activate(z1, arch.activation, out=z1)
+    return _activate(z1, arch.activation, out=z1)
+
+
+def _output_layer(hidden: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """(S, n, o) raw scores of (S, h+1, o) hidden-to-output matrices."""
     scores = hidden @ w2[:, :-1]
     scores += w2[:, -1][:, None, :]
-    return hidden, scores
+    return scores
 
 
 def _class_max(z: np.ndarray) -> np.ndarray:

@@ -200,6 +200,18 @@ def test_evaluate_exhaustive_rejects_nonfinite_levels(xor_csv, capsys, monkeypat
         assert out == ""
 
 
+@pytest.mark.parametrize("mode", [["--exhaustive", "--levels=-1,1"], ["--samples", "4"]])
+def test_evaluate_rejects_features_whose_standardization_overflows(tmp_path, capsys, mode):
+    path = tmp_path / "huge.csv"
+    rows = [f"{(-1) ** i * 1e308!r},{i % 3},{'ab'[i % 2]}" for i in range(20)]
+    path.write_text("f1,f2,label\n" + "\n".join(rows) + "\n")
+    code, out, err = run(capsys, "evaluate", str(path), "--hidden", "2", *mode)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "f1" in lines[0]
+
+
 def test_evaluate_missing_dataset(capsys):
     code, _, err = run(capsys, "evaluate", "/nonexistent.csv", "--hidden", "2")
     assert code == 1

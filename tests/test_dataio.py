@@ -46,6 +46,17 @@ def test_load_requires_label_column(tmp_path):
         load_csv(path)
 
 
+def test_feature_names_come_from_the_header(tmp_path):
+    path = tmp_path / "named.csv"
+    path.write_text("x,label,y\n1,a,2\n3,b,4\n5,a,6\n")
+    ds = load_csv(path)
+    assert ds.feature_names == ("x", "y")
+    assert ds.subset([0, 2]).feature_names == ("x", "y")
+    assert make_synthetic("xor", 8).feature_names == ("f1", "f2")
+    with pytest.raises(ValueError, match="1 feature names for 2 features"):
+        Dataset(ds.features, ds.labels, 2, feature_names=("x",))
+
+
 def test_load_requires_feature_column(tmp_path):
     # the second row is malformed too: the header must be rejected before any row is read
     path = write(tmp_path, "label\na\nb,c\n")

@@ -233,6 +233,48 @@ def test_sampled_excludes_diverged(xor_dataset, monkeypatch):
     assert report.num_samples == 3
 
 
+def diverge_on_calls(monkeypatch, calls):
+    """Patch train_batch so every row of the given (0-based) calls diverges."""
+    real, count = mlp.train_batch, [0]
+
+    def sabotage(arch, stack, x, y, cfg=None, mean=None, scale=None):
+        weights, diverged = real(arch, stack, x, y, cfg, mean, scale)
+        if count[0] in calls:
+            diverged = np.ones_like(diverged)
+        count[0] += 1
+        return weights, diverged
+
+    monkeypatch.setattr(mlp, "train_batch", sabotage)
+
+
+def test_sampled_excludes_a_wholly_diverged_chunk(xor_dataset, monkeypatch):
+    # the middle chunk classifies an empty (0, W) stack
+    arch = MlpArchitecture(2, 2, 1)
+    monkeypatch.setattr(evaluate, "TRAIN_CHUNK", 4)
+    whole = evaluate_sampled(arch, xor_dataset, num_samples=12, seed=1)
+    diverge_on_calls(monkeypatch, {1})
+    report = evaluate_sampled(arch, xor_dataset, num_samples=12, seed=1)
+    assert report.excluded == 4
+    assert report.num_samples == 8
+    kept = np.r_[0:4, 8:12]
+    assert np.array_equal(report.accuracy_per_sample, whole.accuracy_per_sample[kept])
+
+
+def test_sampled_every_chunk_diverged(xor_dataset, monkeypatch):
+    monkeypatch.setattr(evaluate, "TRAIN_CHUNK", 4)
+    diverge_on_calls(monkeypatch, {0, 1, 2})
+    with pytest.raises(ValueError, match="every weight sample diverged; nothing to score"):
+        evaluate_sampled(MlpArchitecture(2, 2, 1), xor_dataset, num_samples=12, seed=1)
+
+
+def test_standardization_overflow_names_the_column():
+    features = np.zeros((20, 3))
+    features[:, 1] = np.where(np.arange(20) % 2, 1e308, -1e308)
+    ds = dataio.Dataset(features, np.arange(20) % 2, 2, feature_names=("a", "b", "c"))
+    with pytest.raises(ValueError, match="feature column b overflows"):
+        evaluate.standardized_splits(ds, SplitSpec(train_fraction=0.5))
+
+
 # ---------------------------------------------------------------------------
 # weight grid and exhaustive evaluation
 # ---------------------------------------------------------------------------

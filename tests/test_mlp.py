@@ -1,4 +1,5 @@
 """Classifier tests: forward pass, gradients, the trainer."""
+import itertools
 import math
 
 import numpy as np
@@ -170,24 +171,77 @@ def test_last_layer_affine_in_weights():
     )
 
 
+def product_order_stack(arch, stack, rng):
+    """Rows of `stack` with their first (d+1)*h weights kept, repeated in runs
+    of 1, 2, 3, 4, 1 and 2 rows whose output layers are redrawn, as consecutive
+    points of a grid in product order are; the first layers of runs 2 and 3
+    differ only in the sign of one zero, those of runs 4 and 5 in one weight."""
+    n1 = (arch.input_dim + 1) * arch.hidden_neurons
+    firsts = stack[:, :n1].copy()
+    firsts[1, 0] = 0.0
+    firsts[2] = firsts[1]
+    firsts[2, 0] = -0.0
+    firsts[4] = firsts[3]
+    firsts[4, 5] += 1.0
+    rows = np.repeat(firsts, [1, 2, 3, 4, 1, 2], axis=0)
+    return np.hstack([rows, 2.0 * rng.normal(size=(len(rows), arch.weight_count - n1))])
+
+
 @pytest.mark.parametrize("output_dim", [1, 3, 5])
 @pytest.mark.parametrize("activation", ["logistic", "tanh", "relu"])
 def test_stack_matches_one_network_at_a_time(output_dim, activation):
     # each row of a stacked forward/classify has the bits of its one-network
-    # call, so classifying a whole chunk at once cannot move a report
+    # call, so classifying a whole chunk at once cannot move a report; the
+    # product-order stack comes in chunks of 4, which cut its runs of 3 and 4
     rng = np.random.default_rng(11)
     arch = MlpArchitecture(3, 4, output_dim, activation)
     stack = 2.0 * rng.normal(size=(6, arch.weight_count))
     mean, scale = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
-    stacked = MlpModel(arch, stack, mean, scale)
-    for x in (rng.normal(size=(50, 3)), rng.normal(size=3)):
-        scores, labels = forward(stacked, x), classify(stacked, x)
-        assert scores.shape == (6,) + x.shape[:-1] + (output_dim,)
-        assert labels.shape == (6,) + x.shape[:-1]
-        for i, w in enumerate(stack):
-            one = MlpModel(arch, w, mean, scale)
-            assert np.array_equal(scores[i], forward(one, x))
-            assert np.array_equal(labels[i], classify(one, x))
+    xs = (rng.normal(size=(50, 3)), rng.normal(size=3))
+    grid = product_order_stack(arch, stack, rng)
+    for chunk in [stack] + [grid[i : i + 4] for i in range(0, len(grid), 4)]:
+        stacked = MlpModel(arch, chunk, mean, scale)
+        for x in xs:
+            scores, labels = forward(stacked, x), classify(stacked, x)
+            assert scores.shape == (len(chunk),) + x.shape[:-1] + (output_dim,)
+            assert labels.shape == (len(chunk),) + x.shape[:-1]
+            for i, w in enumerate(chunk):
+                one = MlpModel(arch, w, mean, scale)
+                assert np.array_equal(scores[i], forward(one, x))
+                assert np.array_equal(labels[i], classify(one, x))
+
+
+@pytest.mark.parametrize("levels", [(-1.0, 1.0), (-0.0, 0.0)])
+def test_forward_activates_each_run_of_equal_first_layers_once(levels, monkeypatch):
+    # 2 levels over (2, 1, 1)'s 5 weights: 32 rows, whose last 2 weights vary
+    # fastest, so 8 runs of 4 rows share a first layer; -0.0 and 0.0 are
+    # different weights even though they compare equal
+    arch = MlpArchitecture(2, 1, 1)
+    stack = np.array(list(itertools.product(levels, repeat=arch.weight_count)))
+    real = mlp._activate
+    shapes = []
+
+    def recording(z, activation, out=None):
+        shapes.append(z.shape)
+        return real(z, activation, out=out)
+
+    monkeypatch.setattr(mlp, "_activate", recording)
+    labels = classify(MlpModel(arch, stack), XOR_X)
+    assert shapes == [(8, 4, 1)]
+    assert labels.shape == (32, 4)
+
+
+@pytest.mark.parametrize("output_dim", [1, 3])
+def test_forward_on_empty_and_single_stacks(output_dim):
+    arch = MlpArchitecture(2, 3, output_dim)
+    x = np.random.default_rng(13).normal(size=(5, 2))
+    empty = MlpModel(arch, np.empty((0, arch.weight_count)))
+    assert forward(empty, x).shape == (0, 5, output_dim)
+    assert classify(empty, x).shape == (0, 5)
+    w = init_weights(arch, 4)
+    single = MlpModel(arch, w[None, :])
+    assert np.array_equal(forward(single, x)[0], forward(MlpModel(arch, w), x))
+    assert np.array_equal(classify(single, x)[0], classify(MlpModel(arch, w), x))
 
 
 # ---------------------------------------------------------------------------
