@@ -20,7 +20,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from . import dataio, evaluate, pqm, svgplot
-from .mlp import ACTIVATIONS, TrainConfig
+from .mlp import ACTIVATIONS, MlpArchitecture, TrainConfig
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -36,7 +36,7 @@ DEFAULTS = {
     "train_fraction": dataio.SplitSpec.train_fraction,
     "hidden_lo": evaluate.DEFAULT_HIDDEN_RANGE[0],
     "hidden_hi": evaluate.DEFAULT_HIDDEN_RANGE[1],
-    "activation": "logistic",
+    "activation": MlpArchitecture.activation,
     "budget": evaluate.DEFAULT_GRID_BUDGET,
     "threads": 1,
 }

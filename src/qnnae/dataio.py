@@ -58,13 +58,13 @@ class Dataset:
     def num_features(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices, name_suffix: str = "") -> "Dataset":
+    def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(
             self.features[idx],
             self.labels[idx],
             self.num_classes,
-            self.name + name_suffix,
+            self.name,
             self.label_names,
             self.feature_names,
         )
@@ -112,6 +112,12 @@ def load_csv(path) -> Dataset:
         feature_cols = [i for i in range(len(header)) if i != label_col]
         if not feature_cols:
             raise ValueError(f"{path}: header has no feature columns")
+        # messages name columns, so a name must print on one line
+        for i in feature_cols:
+            if not header[i].isprintable():
+                raise ValueError(
+                    f"{path}:{reader.line_num}: column name {header[i]!r} does not print"
+                )
 
         rows: List[List[float]] = []
         raw_labels: List[str] = []
@@ -213,9 +219,7 @@ def split(ds: Dataset, spec: SplitSpec) -> Tuple[Dataset, Dataset]:
         train_idx = [int(i) for i in rng.choice(n, size=train_size, replace=False)]
     mask = np.zeros(n, dtype=bool)
     mask[train_idx] = True
-    train = ds.subset(np.flatnonzero(mask), "/train")
-    validation = ds.subset(np.flatnonzero(~mask), "/validation")
-    return train, validation
+    return ds.subset(np.flatnonzero(mask)), ds.subset(np.flatnonzero(~mask))
 
 
 def make_synthetic(kind: str, n: int, noise: float = 0.2, seed: int = 0) -> Dataset:

@@ -82,10 +82,7 @@ class WeightGrid:
 class ArchitectureReport:
     architecture: MlpArchitecture
     score_p0: float
-    mean_accuracy: float
     accuracy_per_sample: np.ndarray
-    num_samples: int
-    mode: str
     seed: int
     excluded: int = 0
 
@@ -93,6 +90,14 @@ class ArchitectureReport:
         self.accuracy_per_sample = np.asarray(self.accuracy_per_sample, dtype=np.float64)
         if not 0.0 <= self.score_p0 <= 1.0:
             raise ValueError(f"score out of [0,1]: {self.score_p0}")
+
+    @property
+    def num_samples(self) -> int:
+        return len(self.accuracy_per_sample)
+
+    @property
+    def mean_accuracy(self) -> float:
+        return float(self.accuracy_per_sample.mean())
 
 
 def performance_vector(
@@ -167,7 +172,6 @@ def evaluate_weight_list(
     train_cfg: Optional[TrainConfig],
     split_spec: Optional[SplitSpec],
     seed: int,
-    mode: str,
 ) -> ArchitectureReport:
     """Shared core: evaluate the rows of an (S, weight_count) array in order.
 
@@ -198,14 +202,10 @@ def evaluate_weight_list(
     misses = np.concatenate(chunk_misses)
     if misses.size == 0:
         raise ValueError("every weight sample diverged; nothing to score")
-    accuracies = (t_s - misses) / t_s
     return ArchitectureReport(
         architecture=arch,
         score_p0=pqm.retrieve_from_distances(misses.tolist(), t_s).p0,
-        mean_accuracy=float(accuracies.mean()),
-        accuracy_per_sample=accuracies,
-        num_samples=misses.size,
-        mode=mode,
+        accuracy_per_sample=(t_s - misses) / t_s,
         seed=seed,
         excluded=excluded,
     )
@@ -225,9 +225,7 @@ def evaluate_sampled(
     weights = np.stack(
         [mlp.init_weights(arch, np.random.SeedSequence((seed, i))) for i in range(num_samples)]
     )
-    return evaluate_weight_list(
-        arch, dataset, weights, True, train_cfg, split_spec, seed, "sampled"
-    )
+    return evaluate_weight_list(arch, dataset, weights, True, train_cfg, split_spec, seed)
 
 
 def evaluate_exhaustive(
@@ -259,9 +257,7 @@ def evaluate_exhaustive(
     for j in range(grid.weight_count):
         place = len(levels) ** (grid.weight_count - 1 - j)
         weights[:, j] = levels[index // place % len(levels)]
-    return evaluate_weight_list(
-        arch, dataset, weights, train, train_cfg, split_spec, seed, "exhaustive"
-    )
+    return evaluate_weight_list(arch, dataset, weights, train, train_cfg, split_spec, seed)
 
 
 def check_grid_levels(levels: Tuple[float, ...]) -> None:
@@ -287,7 +283,7 @@ def sweep(
     train_cfg: Optional[TrainConfig] = None,
     seed: int = 0,
     split_spec: Optional[SplitSpec] = None,
-    activation: str = "logistic",
+    activation: str = MlpArchitecture.activation,
 ) -> List[ArchitectureReport]:
     """One sampled-mode report per hidden-neuron count in [lo, hi), ascending."""
     lo, hi = hidden_range

@@ -85,6 +85,33 @@ class MlpModel:
             raise ValueError(f"weights have shape {w.shape}, need ({count},) or (S, {count})")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
+        self.feature_mean, self.feature_scale = _feature_statistics(
+            self.architecture, self.feature_mean, self.feature_scale
+        )
+
+
+def _feature_statistics(
+    arch: MlpArchitecture, mean, scale
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """Standardization statistics as float arrays, or (None, None).
+
+    Both are given or neither; each has shape (input_dim,) and is finite, and
+    no scale is zero.  Anything else is a ValueError.
+    """
+    if mean is None and scale is None:
+        return None, None
+    if mean is None or scale is None:
+        raise ValueError("feature_mean and feature_scale must be given together")
+    mean = np.asarray(mean, dtype=np.float64)
+    scale = np.asarray(scale, dtype=np.float64)
+    for name, values in (("feature_mean", mean), ("feature_scale", scale)):
+        if values.shape != (arch.input_dim,):
+            raise ValueError(f"{name} has shape {values.shape}, need ({arch.input_dim},)")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
+    if not scale.all():
+        raise ValueError("feature_scale must be nonzero")
+    return mean, scale
 
 
 def init_weights(arch: MlpArchitecture, rng_seed: int) -> np.ndarray:
@@ -134,17 +161,16 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     xb = x.reshape(-1, arch.input_dim)
     if model.feature_mean is not None:
         xb = (xb - model.feature_mean) / model.feature_scale
-    stack = w.reshape(-1, arch.weight_count)
-    w1, w2 = _batched_unpack(arch, stack)
+    w1, w2 = _batched_unpack(arch, w.reshape(-1, arch.weight_count))
     # a run of rows whose input-to-hidden weights are bit-for-bit equal (as a
     # grid in product order has) shares one hidden layer; -0.0 and 0.0 differ
-    first = stack[:, : (arch.input_dim + 1) * arch.hidden_neurons].view(np.int64)
-    new_run = np.ones(len(stack), dtype=bool)
-    new_run[1:] = np.any(first[1:] != first[:-1], axis=1)
+    first = w1.view(np.int64)
+    new_run = np.ones(len(w1), dtype=bool)
+    new_run[1:] = np.any(first[1:] != first[:-1], axis=(1, 2))
     starts = np.flatnonzero(new_run)
     hidden = _hidden_layer(arch, w1[starts], xb)
-    if len(starts) < len(stack):
-        hidden = np.repeat(hidden, np.diff(starts, append=len(stack)), axis=0)
+    if len(starts) < len(w1):
+        hidden = np.repeat(hidden, np.diff(starts, append=len(w1)), axis=0)
     scores = _output_layer(hidden, w2)
     return scores.reshape(w.shape[:-1] + x.shape[:-1] + (arch.output_dim,))
 
@@ -153,8 +179,14 @@ def classify(model: MlpModel, x: np.ndarray):
     """Class labels, shaped as `forward` less its class axis; an int for one
     network and one example.  Binary uses sigmoid(score) > 0.5, multiclass
     argmax, whose ties resolve to the lowest class index.
+
+    A score that overflows to +-inf still has a label; a NaN score (where
+    overflowing products cancel) has none and is a ValueError.
     """
-    scores = forward(model, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = forward(model, x)
+    if np.isnan(scores).any():
+        raise ValueError("network scores are NaN: the weights or inputs overflow")
     if model.architecture.output_dim == 1:
         labels = (scores[..., 0] > 0.0).astype(np.int64)
     else:
@@ -208,20 +240,12 @@ def train(
 
 
 def _batched_unpack(arch: MlpArchitecture, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(S, d+1, h) and (S, h+1, o) views of the two layers of a (S, W) stack."""
     s = w.shape[0]
     n1 = (arch.input_dim + 1) * arch.hidden_neurons
     w1 = w[:, :n1].reshape(s, arch.input_dim + 1, arch.hidden_neurons)
     w2 = w[:, n1:].reshape(s, arch.hidden_neurons + 1, arch.output_dim)
     return w1, w2
-
-
-def _batched_scores(
-    arch: MlpArchitecture, w: np.ndarray, x: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Hidden activations and raw scores for a stack of models; shapes (S,n,h), (S,n,o)."""
-    w1, w2 = _batched_unpack(arch, w)
-    hidden = _hidden_layer(arch, w1, x)
-    return hidden, _output_layer(hidden, w2)
 
 
 def _hidden_layer(arch: MlpArchitecture, w1: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -275,14 +299,25 @@ def _batched_data_loss(arch: MlpArchitecture, z: np.ndarray, y: np.ndarray) -> n
     return np.add.reduce(t, axis=1) / n
 
 
+def _penalized_loss(
+    arch: MlpArchitecture, w: np.ndarray, x: np.ndarray, y: np.ndarray, l2_alpha: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward state `(loss, hidden, z)` of a (S, weight_count) stack: mean
+    cross-entropy plus l2_alpha/2 * ||w||^2, hidden activations (S, n, h) and
+    raw scores (S, n, o)."""
+    w1, w2 = _batched_unpack(arch, w)
+    hidden = _hidden_layer(arch, w1, x)
+    z = _output_layer(hidden, w2)
+    loss = _batched_data_loss(arch, z, y) + 0.5 * l2_alpha * np.sum(w * w, axis=1)
+    return loss, hidden, z
+
+
 def batched_loss(
     arch: MlpArchitecture, w: np.ndarray, x: np.ndarray, y: np.ndarray, l2_alpha: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-model losses of a (S, weight_count) stack, with the forward state
     `(loss, hidden, z)` that `batched_loss_and_grad(..., forward=)` accepts."""
-    hidden, z = _batched_scores(arch, w, x)
-    loss = _batched_data_loss(arch, z, y) + 0.5 * l2_alpha * np.sum(w * w, axis=1)
-    return loss, hidden, z
+    return _penalized_loss(arch, w, x, y, l2_alpha)
 
 
 def batched_loss_and_grad(
@@ -300,14 +335,9 @@ def batched_loss_and_grad(
     `batched_loss`; given it, the forward pass is not run again.
     """
     n = x.shape[0]
-    w1, w2 = _batched_unpack(arch, w)
-    if forward is None:
-        # not through `batched_loss`, whose calls perfbench's trace counts as
-        # line-search trials
-        hidden, z = _batched_scores(arch, w, x)
-        loss = _batched_data_loss(arch, z, y) + 0.5 * l2_alpha * np.sum(w * w, axis=1)
-    else:
-        loss, hidden, z = forward
+    # not through `batched_loss`, whose calls perfbench's trace counts as
+    # line-search trials
+    loss, hidden, z = forward if forward is not None else _penalized_loss(arch, w, x, y, l2_alpha)
     if arch.output_dim == 1:
         dz = _activate(z, "logistic")
         dz -= y[:, None]
@@ -319,11 +349,10 @@ def batched_loss_and_grad(
         dz[:, np.arange(n), y] -= 1.0
     dz /= n
     grad = np.empty_like(w)
-    n1 = (arch.input_dim + 1) * arch.hidden_neurons
-    gw1 = grad[:, :n1].reshape(w1.shape)
-    gw2 = grad[:, n1:].reshape(w2.shape)
+    gw1, gw2 = _batched_unpack(arch, grad)
     gw2[:, :-1] = hidden.transpose(0, 2, 1) @ dz
     gw2[:, -1] = dz.sum(axis=1)
+    w2 = _batched_unpack(arch, w)[1]
     dh = dz @ w2[:, :-1].transpose(0, 2, 1)
     dh *= _activation_grad(hidden, arch.activation)
     gw1[:, :-1] = x.T @ dh
@@ -332,6 +361,7 @@ def batched_loss_and_grad(
     return loss, grad
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_batch(
     arch: MlpArchitecture,
     weights: np.ndarray,
@@ -344,9 +374,13 @@ def train_batch(
     """Train a stack of models by full-batch gradient descent with Armijo backtracking.
 
     x is (n, input_dim) with n >= 1 and y holds n labels in [0, num_classes),
-    else ValueError.  Each row keeps its own step size and Armijo acceptance.  Returns the final
-    (S, weight_count) weights and a boolean mask of models whose loss went
-    non-finite (their row holds the last finite weights).
+    and the feature statistics pass `MlpModel`'s checks, else ValueError.
+    Each row keeps its own step size and Armijo acceptance.  Returns the final
+    (S, weight_count) weights and a boolean mask of diverged models: those
+    whose loss, any gradient entry or squared gradient norm went non-finite,
+    at the initial weights or after a step (their row holds the last weights
+    reached).  Overflow is handled through these checks and the line search's
+    rejection of non-finite trial losses, so it raises no numpy warning.
     """
     config = config or TrainConfig()
     w = np.array(weights, dtype=np.float64)
@@ -362,6 +396,7 @@ def train_batch(
         raise ValueError("feature and label counts differ")
     if y.min() < 0 or y.max() >= arch.num_classes:
         raise ValueError(f"labels must lie in [0, {arch.num_classes})")
+    feature_mean, feature_scale = _feature_statistics(arch, feature_mean, feature_scale)
     if feature_mean is not None:
         x = (x - feature_mean) / feature_scale
     if arch.output_dim == 1:
@@ -369,10 +404,11 @@ def train_batch(
 
     step = np.full(w.shape[0], config.learning_rate)
     loss, grad = batched_loss_and_grad(arch, w, x, y, config.l2_alpha)
-    diverged = ~np.isfinite(loss)
+    gnorm_sq = np.sum(grad * grad, axis=1)
+    # a non-finite gradient entry makes the squared norm non-finite too
+    diverged = ~(np.isfinite(loss) & np.isfinite(gnorm_sq))
     active = ~diverged
     for _ in range(config.max_iter):
-        gnorm_sq = np.sum(grad * grad, axis=1)
         active &= np.sqrt(gnorm_sq) >= config.tolerance
         idx = np.flatnonzero(active)
         if idx.size == 0:
@@ -410,9 +446,9 @@ def train_batch(
         loss_new, grad_new = batched_loss_and_grad(
             arch, w_acc, x, y, config.l2_alpha, forward=(loss_acc, hidden_acc, z_acc)
         )
-        loss[rows] = loss_new
-        grad[rows] = grad_new
-        bad = rows[~np.isfinite(loss_new) | ~np.isfinite(grad_new).all(axis=1)]
+        gnorm_new = np.sum(grad_new * grad_new, axis=1)
+        loss[rows], grad[rows], gnorm_sq[rows] = loss_new, grad_new, gnorm_new
+        bad = rows[~(np.isfinite(loss_new) & np.isfinite(gnorm_new))]
         diverged[bad] = True
         active[bad] = False
     return w, diverged

@@ -27,18 +27,19 @@ class CapacityError(RuntimeError):
     """Raised when a circuit would exceed the simulator budget."""
 
 
-class BitString:
-    """Fixed-length pattern of 0/1 bits."""
+class BitString(tuple):
+    """Fixed-length pattern of 0/1 bits: a tuple, so it equals and hashes as
+    the plain tuple of its bits."""
 
-    __slots__ = ("bits",)
+    __slots__ = ()
 
-    def __init__(self, bits: Iterable[int]):
+    def __new__(cls, bits: Iterable[int]):
         bits = tuple(int(b) for b in bits)
         if len(bits) < 1:
             raise ValueError("bit string must have length >= 1")
         if any(b not in (0, 1) for b in bits):
             raise ValueError(f"bits must be 0 or 1, got {bits}")
-        self.bits = bits
+        return super().__new__(cls, bits)
 
     @classmethod
     def from_string(cls, text: str) -> "BitString":
@@ -53,27 +54,12 @@ class BitString:
     def to_index(self) -> int:
         """Basis-state index, leftmost bit most significant."""
         idx = 0
-        for b in self.bits:
+        for b in self:
             idx = (idx << 1) | b
         return idx
 
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __getitem__(self, i: int) -> int:
-        return self.bits[i]
-
-    def __iter__(self):
-        return iter(self.bits)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BitString) and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash(self.bits)
-
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return "".join(str(b) for b in self)
 
     def __repr__(self) -> str:
         return f"BitString({self})"
@@ -82,7 +68,7 @@ class BitString:
 def hamming_distance(a: BitString, b: BitString) -> int:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(x != y for x, y in zip(a.bits, b.bits))
+    return sum(x != y for x, y in zip(a, b))
 
 
 class PatternMemory:

@@ -5,12 +5,14 @@ neurons, grids of at most 4096 points) with mutated or random-byte CSV,
 memory and config files and with random flag values.  Each run must return
 0, 1 or 2, or stop in argparse with `SystemExit(2)`.  A nonzero return
 prints exactly one `error:` line, as the last line of stderr, and never a
-traceback.
+traceback.  No run may raise a RuntimeWarning: a numpy warning means a value
+overflowed or went NaN and the run went on with it.
 """
 import contextlib
 import io
 import os
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from unittest import mock
 
@@ -127,6 +129,10 @@ def csv_case(argv, data=GOOD_CSV, name="data.csv"):
 @example({"argv": ["pqm", "memory.txt", "0110"], "files": {"memory.txt": b"0110\n\xe9\n"},
           "oom": False})
 @example({**csv_case(["evaluate", "--hidden=1", "--samples=1"]), "oom": True})
+@example(csv_case(["evaluate", "--hidden=1", "--exhaustive", "--levels=1e308,-1e308"]))
+@example(csv_case(["evaluate", "--hidden=2", "--exhaustive", "--levels=1e308,-1e308",
+                   "--activation=relu"]))
+@example(csv_case(["evaluate", "--hidden=2", "--samples=3", "--alpha=1e300"]))
 def test_bad_input_ends_in_an_exit_code_and_one_error_line(case):
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in case["files"].items():
@@ -142,11 +148,14 @@ def test_bad_input_ends_in_an_exit_code_and_one_error_line(case):
                 stack.enter_context(mock.patch.object(pqm, "retrieve_analytic", out_of_memory))
             stack.enter_context(contextlib.redirect_stdout(out))
             stack.enter_context(contextlib.redirect_stderr(err))
+            caught = stack.enter_context(warnings.catch_warnings(record=True))
+            warnings.simplefilter("always")
             try:
                 code = cli.main(argv)
             except SystemExit as exc:
                 assert exc.code == 2  # argparse rejected the command line
                 return
+        assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
         lines = err.getvalue().splitlines()
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()

@@ -1,6 +1,7 @@
 """Command-line interface tests: outputs, exit codes, config precedence."""
 import shutil
 import threading
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -210,6 +211,35 @@ def test_evaluate_rejects_features_whose_standardization_overflows(tmp_path, cap
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "f1" in lines[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # relu passes overflowed hidden units on as inf, and inf - inf is NaN
+    (["--exhaustive", "--levels=1e308,-1e308", "--activation", "relu"],
+     "network scores are NaN: the weights or inputs overflow"),
+    # the squared norm of every initial gradient overflows
+    (["--samples", "3", "--alpha", "1e300"], "every weight sample diverged; nothing to score"),
+], ids=["nan-scores", "gradient-overflow"])
+def test_evaluate_fails_on_overflow_without_numpy_warnings(xor_csv, capsys, argv, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "evaluate", xor_csv, "--hidden", "2", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: {message}"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_evaluate_labels_scores_that_overflow_to_infinity(xor_csv, capsys):
+    # logistic hidden units saturate, so these scores are +-inf or exactly 0:
+    # each has a label, and the symmetric grid scores one half
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, "evaluate", xor_csv, "--hidden", "1", "--exhaustive",
+                           "--levels=1e308,-1e308")
+    assert code == 0
+    assert out.startswith("score_p0=0.500000 mean_accuracy=0.500000 samples=32 excluded=0\n")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_evaluate_missing_dataset(capsys):

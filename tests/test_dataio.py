@@ -64,6 +64,16 @@ def test_load_requires_feature_column(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("header, lineno", [
+    ("f\x0b1,f2,label\n", 1),  # a vertical tab splits a message's line
+    ('f1,"f\n2",label\n', 2),
+])
+def test_load_rejects_column_names_that_do_not_print(tmp_path, header, lineno):
+    path = write(tmp_path, header + "1,x,a\n2,3,b\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: column name")):
+        load_csv(path)
+
+
 def test_load_reports_short_row(tmp_path):
     path = write(tmp_path, "f1,f2,label\n1,2,a\n3,b\n")
     with pytest.raises(ValueError, match="3"):

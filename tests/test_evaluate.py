@@ -165,7 +165,6 @@ def test_sampled_single_perfect_model():
 
 def test_sampled_report_consistency(xor_dataset):
     report = evaluate_sampled(MlpArchitecture(2, 2, 1), xor_dataset, num_samples=6, seed=0)
-    assert report.mode == "sampled"
     assert report.num_samples == 6
     assert report.excluded == 0
     assert report.mean_accuracy == pytest.approx(report.accuracy_per_sample.mean())
@@ -332,7 +331,7 @@ def test_exhaustive_single_point_matches_weight_list(xor_dataset):
     spec = SplitSpec(seed=2)
     via_grid = evaluate_exhaustive(arch, xor_dataset, grid, split_spec=spec)
     via_list = evaluate_weight_list(
-        arch, xor_dataset, [np.zeros(5)], False, None, spec, 0, "exhaustive"
+        arch, xor_dataset, [np.zeros(5)], False, None, spec, 0
     )
     assert via_grid.score_p0 == via_list.score_p0
     assert np.array_equal(via_grid.accuracy_per_sample, via_list.accuracy_per_sample)
@@ -350,7 +349,7 @@ def test_exhaustive_grid_coherence(xor_dataset):
         for p in itertools.product(grid.levels, repeat=grid.weight_count)
     ]
     replay = evaluate_weight_list(
-        arch, xor_dataset, points, False, None, spec, 7, "exhaustive"
+        arch, xor_dataset, points, False, None, spec, 7
     )
     assert direct.score_p0 == replay.score_p0
     assert np.array_equal(direct.accuracy_per_sample, replay.accuracy_per_sample)

@@ -1,6 +1,7 @@
 """Classifier tests: forward pass, gradients, the trainer."""
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,25 @@ def test_model_rejects_bad_weights():
             MlpModel(arch, np.zeros(shape))
 
 
+@pytest.mark.parametrize("mean, scale, message", [
+    ([np.nan, 0.0], [1.0, 1.0], "feature_mean must be finite"),
+    ([0.0], [1.0, 1.0], r"feature_mean has shape \(1,\), need \(2,\)"),
+    ([0.0, 0.0], [1.0, 0.0], "feature_scale must be nonzero"),
+    ([0.0, 0.0], [np.inf, 1.0], "feature_scale must be finite"),
+    ([0.0, 0.0], None, "given together"),
+], ids=["nan-mean", "short-mean", "zero-scale", "inf-scale", "mean-only"])
+@pytest.mark.parametrize("caller", ["MlpModel", "train_batch"])
+def test_feature_statistics_are_checked(caller, mean, scale, message):
+    # each of these used to classify every example as 0, broadcast, or warn
+    arch = MlpArchitecture(2, 2, 1)
+    stack = np.stack([init_weights(arch, s) for s in range(2)])
+    with pytest.raises(ValueError, match=message):
+        if caller == "MlpModel":
+            MlpModel(arch, stack, mean, scale)
+        else:
+            mlp.train_batch(arch, stack, XOR_X, XOR_Y, None, mean, scale)
+
+
 # ---------------------------------------------------------------------------
 # forward and classify
 # ---------------------------------------------------------------------------
@@ -157,6 +177,35 @@ def test_classify_binary_threshold():
     assert classify(MlpModel(arch, weights), np.array([0.0])) == 1
     weights[-1] = -0.2
     assert classify(MlpModel(arch, weights), np.array([0.0])) == 0
+
+
+@pytest.mark.parametrize("output_dim", [1, 3])
+def test_classify_labels_infinite_scores_and_rejects_nan(output_dim):
+    # relu passes an overflowed hidden unit on as inf: one such unit gives
+    # +-inf scores, two with opposite output weights give inf - inf = NaN
+    arch = MlpArchitecture(1, 2, output_dim, "relu")
+    x = np.array([[-1.0], [0.5], [2.0]])
+    w2 = np.zeros((3, output_dim))
+    w2[0] = [-1.0, 0.5, 1.0][:output_dim]
+    w2[2] = 0.25
+
+    def model(second_unit):
+        w1 = np.array([[1e308, second_unit], [0.0, 0.0]])
+        return MlpModel(arch, np.concatenate([w1.ravel(), w2.ravel()]))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        labels = classify(model(0.0), x)
+    with np.errstate(all="ignore"):
+        scores = forward(model(0.0), x)
+    assert np.isinf(scores[2]).all()
+    want = scores[:, 0] > 0 if output_dim == 1 else np.argmax(scores, axis=-1)
+    assert np.array_equal(labels, want)
+    w2[1] = -w2[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="scores are NaN"):
+            classify(model(1e308), x)
 
 
 def test_last_layer_affine_in_weights():
@@ -575,7 +624,10 @@ def reference_train_batch(arch, weights, x, y, config):
     s = w.shape[0]
     step = np.full(s, config.learning_rate)
     loss, grad = mlp.batched_loss_and_grad(arch, w, x, y, config.l2_alpha)
-    diverged = ~np.isfinite(loss)
+    # a row diverges when its loss, a gradient entry or its squared gradient
+    # norm is not finite, at the start or after a step
+    diverged = ~np.isfinite(loss) | ~np.isfinite(grad).all(axis=1)
+    diverged |= ~np.isfinite(np.sum(grad * grad, axis=1))
     active = ~diverged
     for _ in range(config.max_iter):
         gnorm_sq = np.sum(grad * grad, axis=1)
@@ -612,6 +664,7 @@ def reference_train_batch(arch, weights, x, y, config):
         grad[acc_idx] = grad_new
         bad = np.zeros(s, dtype=bool)
         bad[acc_idx] = ~np.isfinite(loss_new) | ~np.isfinite(grad_new).all(axis=1)
+        bad[acc_idx] |= ~np.isfinite(np.sum(grad_new * grad_new, axis=1))
         diverged |= bad
         active &= ~bad
     return w, diverged
@@ -666,6 +719,22 @@ def test_train_batch_matches_reference_trainer_with_diverging_rows(monkeypatch):
     # some rows went bad after an accepted step, some never did
     mid_training = got_diverged & np.isfinite(initial)
     assert mid_training.any() and not got_diverged.all()
+
+
+def test_train_batch_flags_rows_whose_gradient_norm_overflows():
+    # with l2_alpha 1e300 the loss and each gradient entry are finite but the
+    # squared gradient norm is inf, so no step could ever be accepted
+    arch, x, y, stack = _training_problem(1, "logistic", rows=4)
+    cfg = TrainConfig(l2_alpha=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_w, got_diverged = mlp.train_batch(arch, stack, x, y, cfg)
+    assert got_diverged.all()
+    assert np.array_equal(got_w, stack)
+    with np.errstate(all="ignore"):
+        want_w, want_diverged = reference_train_batch(arch, stack, x, y, cfg)
+    assert np.array_equal(got_w, want_w)
+    assert np.array_equal(got_diverged, want_diverged)
 
 
 def test_train_batch_validates_inputs():
