@@ -162,13 +162,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("dataset", help="CSV dataset (f1,...,fk,label header)")
     p_eval.add_argument("--hidden", type=int, required=True, help="hidden neurons")
     p_eval.add_argument("--exhaustive", action="store_true",
-                        help="enumerate a weight grid instead of sampling")
+                        help="score every point of a weight grid instead of sampling; "
+                             "untrained, it checks the circuit's math but does not "
+                             "rank architectures")
     p_eval.add_argument("--levels",
                         help="comma-separated grid levels (exhaustive mode; default -1,0,1)")
     p_eval.add_argument("--budget", type=int,
                         help=f"max grid points (default {DEFAULTS['budget']})")
     p_eval.add_argument("--train-grid", action="store_true",
-                        help="train each grid point (exhaustive mode)")
+                        help="train each grid point before scoring it (exhaustive "
+                             "mode): the paper's mode, which ranks architectures")
     p_eval.add_argument("--out", help="write the report CSV here")
     _add_common_options(p_eval)
 

@@ -231,28 +231,19 @@ def make_synthetic(kind: str, n: int, noise: float = 0.2, seed: int = 0) -> Data
     if not (math.isfinite(noise) and noise >= 0):
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
-    features = np.empty((n, 2))
-    labels = np.empty(n, dtype=np.int64)
+    which = np.arange(n) % (4 if kind == "xor" else 2)
     if kind == "xor":
         corners = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
-        for i in range(n):
-            cx, cy = corners[i % 4]
-            features[i] = (cx, cy)
-            labels[i] = int(cx) ^ int(cy)
-        features += rng.normal(0.0, noise, size=(n, 2))
+        features = corners[which]
+        labels = np.array([0, 1, 1, 0])[which]  # x XOR y of each corner
     elif kind == "two_gaussians":
-        centers = np.array([(-1.0, 0.0), (1.0, 0.0)])
-        for i in range(n):
-            labels[i] = i % 2
-            features[i] = centers[i % 2]
-        features += rng.normal(0.0, noise, size=(n, 2))
+        features = np.array([(-1.0, 0.0), (1.0, 0.0)])[which]
+        labels = which
     else:  # rings
-        radii = (1.0, 2.0)
         angles = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        for i in range(n):
-            labels[i] = i % 2
-            r = radii[i % 2]
-            features[i] = (r * math.cos(angles[i]), r * math.sin(angles[i]))
-        features += rng.normal(0.0, noise, size=(n, 2))
+        radius = np.array([1.0, 2.0])[which]
+        features = np.column_stack([radius * np.cos(angles), radius * np.sin(angles)])
+        labels = which
+    features += rng.normal(0.0, noise, size=(n, 2))
     name = f"{kind}(n={n},noise={noise},seed={seed})"
     return Dataset(features, labels, num_classes=2, name=name)

@@ -15,7 +15,6 @@ copy of the retrieval formula, with each network's miss count as its distance.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -26,8 +25,6 @@ from . import mlp, pqm
 from .dataio import Dataset, SplitSpec, split
 from .mlp import MlpArchitecture, MlpModel, TrainConfig
 from .pqm import BitString
-
-log = logging.getLogger(__name__)
 
 DEFAULT_NUM_SAMPLES = 1000
 DEFAULT_GRID_BUDGET = 3**12
@@ -194,8 +191,6 @@ def evaluate_weight_list(
             stack, diverged = mlp.train_batch(arch, stack, x_train, y_train, train_cfg, mean, scale)
         else:
             diverged = np.zeros(len(stack), dtype=bool)
-        for row in np.flatnonzero(diverged):
-            log.warning("sample %d diverged; excluded", start + row)
         predicted = mlp.classify(MlpModel(arch, stack[~diverged], mean, scale), x_val)
         chunk_misses.append(np.count_nonzero(predicted != y_val, axis=1))
         excluded += int(diverged.sum())

@@ -1,8 +1,13 @@
 """Command-line interface tests: outputs, exit codes, config precedence."""
+import os
+import re
 import shutil
+import subprocess
+import sys
 import threading
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -226,7 +231,7 @@ def test_evaluate_fails_on_overflow_without_numpy_warnings(xor_csv, capsys, argv
         code, out, err = run(capsys, "evaluate", xor_csv, "--hidden", "2", *argv)
     assert code == 1
     assert out == ""
-    assert err.splitlines()[-1] == f"error: {message}"
+    assert err == f"error: {message}\n"  # diverged samples are counted, not logged
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -284,6 +289,43 @@ def test_malformed_command_line_exits_2(xor_csv, capsys):
             cli.main(argv)
         assert info.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN_PATTERNS, GOLDEN_PROBE, GOLDEN_OUT = PQM_GOLDEN[0]
+
+
+@pytest.mark.parametrize("files, argv, code, stdout, stderr", [
+    ({"memory.txt": "\n".join(GOLDEN_PATTERNS) + "\n"},
+     ["pqm", "memory.txt", GOLDEN_PROBE, "--circuit", "--shots", "300", "--seed", "9"],
+     0, GOLDEN_OUT, ""),
+    # the bad record ends on file line 4, after a quoted field on lines 2-3
+    ({"ml.csv": 'f1,f2,label\n0,"1\n",a\n1,x,b\n'}, ["evaluate", "ml.csv", "--hidden", "1"],
+     1, "", re.escape("error: ml.csv:4: non-numeric feature 'x' in column f2\n")),
+    ({}, ["evaluate", "xor.csv", "--hidden", "1000000", "--exhaustive"],
+     2, "", re.escape("error: grid needs 3^4000001 points, budget is 531441\n")),
+    # pytest captures log records in process, so only a real process shows
+    # that a diverged sample prints nothing of its own
+    ({}, ["evaluate", "xor.csv", "--hidden", "2", "--samples", "4", "--alpha", "1e300"],
+     1, "", re.escape("error: every weight sample diverged; nothing to score\n")),
+    ({}, ["evaluate", "xor.csv", "--hidden", "abc"], 2, "",
+     r"usage: qnnae evaluate .*\nqnnae evaluate: error: argument --hidden: "
+     r"invalid int value: 'abc'\n"),
+], ids=["pqm-golden", "multiline-csv", "far-over-budget", "all-diverged", "malformed-flag"])
+def test_module_run_exit_code_stdout_and_stderr(xor_csv, tmp_path, files, argv, code,
+                                                stdout, stderr):
+    # a real process: what reaches the streams and the exit status, with no
+    # logging, warning or traceback that the in-process tests would not see
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "qnnae.cli", *argv], cwd=tmp_path, capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert result.returncode == code
+    assert result.stdout == stdout
+    assert re.fullmatch(stderr, result.stderr, re.DOTALL), result.stderr
 
 
 def test_show_config_reports_defaults(xor_csv, capsys):

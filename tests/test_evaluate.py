@@ -413,6 +413,44 @@ def test_exhaustive_grid_is_product_order(xor_dataset, monkeypatch):
     assert np.array_equal(seen["weights"], expected)
 
 
+@pytest.mark.parametrize("hidden", [1, 2])
+@pytest.mark.parametrize("levels", [(-1.0, 1.0), (-1.0, 0.0, 1.0)], ids=["pm1", "pm1-0"])
+@pytest.mark.parametrize("activation", ["logistic", "tanh", "relu"])
+def test_untrained_binary_grid_pairs_each_point_with_its_negated_output_layer(
+    xor_dataset, activation, levels, hidden
+):
+    """Negating the output layer, (w1, w2) -> (w1, -w2), negates every binary
+    score and so flips every label whose score is not exactly 0.  On levels
+    closed under negation both points lie on the grid, and their miss counts
+    sum to t_s: cos^2 meets sin^2, and the untrained grid scores one half for
+    any architecture.  Multiclass argmax has no such pairing: negating every
+    score does not move the argmax off each correct class.
+    """
+    assert levels == tuple(-v for v in reversed(levels))
+    arch = MlpArchitecture(2, hidden, 1, activation)
+    report = evaluate_exhaustive(arch, xor_dataset, WeightGrid(levels, arch.weight_count))
+    _, _, x_val, _, mean, scale = evaluate.standardized_splits(xor_dataset, SplitSpec(seed=0))
+    t_s = len(x_val)
+    misses = t_s - np.rint(report.accuracy_per_sample * t_s).astype(np.int64)
+
+    num_levels, width = len(levels), arch.weight_count
+    digits = np.array(list(itertools.product(range(num_levels), repeat=width)))
+    twin_digits = digits.copy()
+    twin_digits[:, -(hidden + 1):] = num_levels - 1 - digits[:, -(hidden + 1):]
+    twin = twin_digits @ num_levels ** np.arange(width - 1, -1, -1)
+    scores = mlp.forward(MlpModel(arch, np.array(levels)[digits], mean, scale), x_val)
+    zero = np.any(scores[..., 0] == 0.0, axis=1)
+    assert np.array_equal(zero, zero[twin])
+
+    first = np.arange(len(twin)) <= twin  # each pair once; a point may be its own twin
+    paired = first & ~zero
+    assert np.all(misses[paired] + misses[twin[paired]] == t_s)
+    exempt = int(np.count_nonzero(first & zero))
+    assert exempt < np.count_nonzero(paired)
+    if exempt == 0:
+        assert report.score_p0 == pytest.approx(0.5, abs=1e-12)
+
+
 def test_grid_arch_mismatch(xor_dataset):
     with pytest.raises(ValueError):
         evaluate_exhaustive(
