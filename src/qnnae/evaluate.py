@@ -31,6 +31,9 @@ DEFAULT_GRID_BUDGET = 3**12
 DEFAULT_HIDDEN_RANGE = (1, 20)
 # models trained together per vectorized chunk
 TRAIN_CHUNK = 64
+# bound on the largest buffer of an untrained chunk's classification, its
+# (rows, t_s, max(h, o)) float64 hidden or output layer: 182 rows at t_s=360, h=2
+CLASSIFY_CHUNK_BYTES = 2**20
 
 
 class BudgetExceededError(RuntimeError):
@@ -61,6 +64,14 @@ class PerformanceVector:
 
 @dataclass(frozen=True)
 class WeightGrid:
+    """Every assignment of `levels` to `weight_count` weights, in the order of
+    itertools.product: point i has weight j at level digit j of i in base
+    len(levels), most significant digit first.
+
+    `len(grid)` and `grid[a:b]` read the points as the rows of a
+    (num_points, weight_count) array, made one slice at a time.
+    """
+
     levels: Tuple[float, ...]
     weight_count: int
     budget: int = DEFAULT_GRID_BUDGET
@@ -73,6 +84,16 @@ class WeightGrid:
     @property
     def num_points(self) -> int:
         return len(self.levels) ** self.weight_count
+
+    def __len__(self) -> int:
+        return self.num_points
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        num_levels = len(self.levels)
+        # an int64 array of the place values: a power past int64 raises, never wraps
+        place = np.array([num_levels**k for k in range(self.weight_count - 1, -1, -1)])
+        index = np.arange(*rows.indices(self.num_points))
+        return np.array(self.levels, dtype=np.float64)[index[:, None] // place % num_levels]
 
 
 @dataclass
@@ -164,42 +185,51 @@ def architecture_for(dataset: Dataset, hidden: int, activation: str) -> MlpArchi
 def evaluate_weight_list(
     arch: MlpArchitecture,
     dataset: Dataset,
-    weights: np.ndarray,
+    weights: np.ndarray | Sequence[np.ndarray] | WeightGrid,
     train: bool,
     train_cfg: Optional[TrainConfig],
     split_spec: Optional[SplitSpec],
     seed: int,
 ) -> ArchitectureReport:
-    """Shared core: evaluate the rows of an (S, weight_count) array in order.
+    """Shared core: evaluate weight rows in order.
 
-    Training and classification run on fixed-size chunks of models, and the
-    final reduction runs in sample order.  Each network is reduced to its
-    number of validation misses; diverged trainings are excluded from the
-    memory and counted.  `split_spec` defaults to a stratified split seeded by `seed`.
+    `weights` is read only through `len(weights)` and `weights[a:b]`, so an
+    (S, weight_count) array, a list of rows and a `WeightGrid` all serve, and
+    a grid makes its points one chunk at a time.  Training runs on stacks of
+    TRAIN_CHUNK models; an untrained chunk holds as many rows as keep its
+    classification's largest buffer within CLASSIFY_CHUNK_BYTES.  The final
+    reduction runs in sample order.  Each network is reduced to its number of
+    validation misses; diverged trainings are excluded from the memory and
+    counted.  `split_spec` defaults to a stratified split seeded by `seed`.
     """
     x_train, y_train, x_val, y_val, mean, scale = standardized_splits(
         dataset, split_spec or SplitSpec(seed=seed)
     )
     t_s = len(y_val)
-    weights = np.asarray(weights, dtype=np.float64)
+    # the same (x - mean) / scale a model with these statistics would apply
+    x_val = (x_val - mean) / scale
+    if train:
+        chunk = TRAIN_CHUNK
+    else:
+        row_bytes = t_s * max(arch.hidden_neurons, arch.output_dim) * 8
+        chunk = max(1, CLASSIFY_CHUNK_BYTES // row_bytes)
 
     chunk_misses = []
     excluded = 0
-    for start in range(0, len(weights), TRAIN_CHUNK):
-        stack = weights[start : start + TRAIN_CHUNK]
+    for start in range(0, len(weights), chunk):
+        stack = np.asarray(weights[start : start + chunk], dtype=np.float64)
         if train:
             stack, diverged = mlp.train_batch(arch, stack, x_train, y_train, train_cfg, mean, scale)
-        else:
-            diverged = np.zeros(len(stack), dtype=bool)
-        predicted = mlp.classify(MlpModel(arch, stack[~diverged], mean, scale), x_val)
+            stack = stack[~diverged]
+            excluded += int(diverged.sum())
+        predicted = mlp.classify(MlpModel(arch, stack), x_val)
         chunk_misses.append(np.count_nonzero(predicted != y_val, axis=1))
-        excluded += int(diverged.sum())
     misses = np.concatenate(chunk_misses)
     if misses.size == 0:
         raise ValueError("every weight sample diverged; nothing to score")
     return ArchitectureReport(
         architecture=arch,
-        score_p0=pqm.retrieve_from_distances(misses.tolist(), t_s).p0,
+        score_p0=pqm.retrieve_from_distances(misses, t_s).p0,
         accuracy_per_sample=(t_s - misses) / t_s,
         seed=seed,
         excluded=excluded,
@@ -232,10 +262,9 @@ def evaluate_exhaustive(
     seed: int = 0,
     split_spec: Optional[SplitSpec] = None,
 ) -> ArchitectureReport:
-    """Enumerate every grid point (lexicographic in level order) and score them all.
+    """Score every grid point, in the grid's product order.
 
-    Point i has weight j at level digit j of i in base len(levels), most
-    significant digit first: the order of itertools.product.
+    The budget is checked before any point is made.
     """
     if grid.weight_count != arch.weight_count:
         raise ValueError(
@@ -246,13 +275,7 @@ def evaluate_exhaustive(
     num_levels, width = len(grid.levels), grid.weight_count
     if (num_levels > 1 and width > grid.budget.bit_length()) or grid.num_points > grid.budget:
         raise BudgetExceededError(num_levels, width, grid.budget)
-    levels = np.array(grid.levels, dtype=np.float64)
-    index = np.arange(grid.num_points)
-    weights = np.empty((grid.num_points, grid.weight_count))
-    for j in range(grid.weight_count):
-        place = len(levels) ** (grid.weight_count - 1 - j)
-        weights[:, j] = levels[index // place % len(levels)]
-    return evaluate_weight_list(arch, dataset, weights, train, train_cfg, split_spec, seed)
+    return evaluate_weight_list(arch, dataset, grid, train, train_cfg, split_spec, seed)
 
 
 def check_grid_levels(levels: Tuple[float, ...]) -> None:

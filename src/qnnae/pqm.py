@@ -148,20 +148,19 @@ def retrieve_from_distances(distances: Sequence[int], n: int) -> RetrievalOutcom
     distances from the input: the one copy of the formula above.
 
     Each of the n+1 possible terms is computed once, then the terms are summed
-    left to right in the order of `distances`.
+    left to right in the order of `distances`: numpy's accumulate adds strictly
+    in order, where `np.sum` would add pairwise.
     """
-    if len(distances) == 0:
+    distances = np.asarray(distances)
+    if distances.size == 0:
         raise ValueError("need at least one distance")
-    if n < 1 or min(distances) < 0 or max(distances) > n:
+    if n < 1 or distances.min() < 0 or distances.max() > n:
         raise ValueError(f"distances must lie in [0, {n}] with n >= 1")
-    cos_sq = [math.cos(math.pi * d / (2 * n)) ** 2 for d in range(n + 1)]
-    sin_sq = [math.sin(math.pi * d / (2 * n)) ** 2 for d in range(n + 1)]
-    p0 = 0.0
-    p1 = 0.0
-    for d in distances:
-        p0 += cos_sq[d]
-        p1 += sin_sq[d]
-    p = len(distances)
+    cos_sq = np.array([math.cos(math.pi * d / (2 * n)) ** 2 for d in range(n + 1)])
+    sin_sq = np.array([math.sin(math.pi * d / (2 * n)) ** 2 for d in range(n + 1)])
+    p0 = float(np.cumsum(cos_sq[distances])[-1])
+    p1 = float(np.cumsum(sin_sq[distances])[-1])
+    p = distances.size
     return RetrievalOutcome(p0 / p, p1 / p)
 
 

@@ -1,6 +1,7 @@
 """Pipeline tests: performance vectors, scoring, sampled and exhaustive modes."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from qnnae.evaluate import (
     score,
     sweep,
 )
-from qnnae.mlp import MlpArchitecture, MlpModel
+from qnnae.mlp import MlpArchitecture, MlpModel, TrainConfig
 from qnnae.pqm import BitString
 
 
@@ -355,30 +356,13 @@ def test_exhaustive_grid_coherence(xor_dataset):
     assert np.array_equal(direct.accuracy_per_sample, replay.accuracy_per_sample)
 
 
-@pytest.mark.parametrize("case", ["sampled_binary", "sampled_3class", "exhaustive"])
-def test_reports_independent_of_chunk_size(case, xor_dataset, blobs3_dataset, monkeypatch):
-    def report_row():
-        if case == "sampled_binary":
-            report = evaluate_sampled(MlpArchitecture(2, 2, 1), xor_dataset, 20, seed=3)
-        elif case == "sampled_3class":
-            report = evaluate_sampled(MlpArchitecture(2, 2, 3), blobs3_dataset, 20, seed=3)
-        else:
-            arch = MlpArchitecture(2, 1, 1)
-            grid = WeightGrid((-1.0, 0.0, 1.0), arch.weight_count)
-            report = evaluate_exhaustive(arch, xor_dataset, grid)
-        return evaluate.report_csv_row(report)
-
-    rows = []
-    for chunk in (7, 64):
-        monkeypatch.setattr(evaluate, "TRAIN_CHUNK", chunk)
-        rows.append(report_row())
-    assert rows[0] == rows[1]
+def val_row_bytes(dataset, arch):
+    """Bytes one network adds to an untrained chunk's largest classification buffer."""
+    t_s = len(evaluate.standardized_splits(dataset, SplitSpec(seed=0))[3])
+    return t_s * max(arch.hidden_neurons, arch.output_dim) * 8
 
 
-@pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
-def test_one_classify_call_per_chunk(mode, xor_dataset, monkeypatch):
-    # each chunk is classified by one call over its whole weight stack, never
-    # one call per network
+def count_classify_calls(monkeypatch):
     real = mlp.classify
     shapes = []
 
@@ -387,12 +371,57 @@ def test_one_classify_call_per_chunk(mode, xor_dataset, monkeypatch):
         return real(model, x)
 
     monkeypatch.setattr(mlp, "classify", counting)
-    monkeypatch.setattr(evaluate, "TRAIN_CHUNK", 7)
+    return shapes
+
+
+@pytest.mark.parametrize(
+    "case", ["sampled_binary", "sampled_3class", "train_grid", "exhaustive"]
+)
+def test_reports_independent_of_chunk_size(case, xor_dataset, blobs3_dataset, monkeypatch):
+    # training stacks hold TRAIN_CHUNK networks; untrained chunks are bounded
+    # by CLASSIFY_CHUNK_BYTES, varied here from one row to the whole grid
+    arch = MlpArchitecture(2, 1, 1)
+    grid = WeightGrid((-1.0, 0.0, 1.0), arch.weight_count)
+
+    def report_row():
+        if case == "sampled_binary":
+            report = evaluate_sampled(MlpArchitecture(2, 2, 1), xor_dataset, 20, seed=3)
+        elif case == "sampled_3class":
+            report = evaluate_sampled(MlpArchitecture(2, 2, 3), blobs3_dataset, 20, seed=3)
+        else:
+            cfg = TrainConfig(max_iter=20)
+            report = evaluate_exhaustive(arch, xor_dataset, grid, case == "train_grid", cfg)
+        return evaluate.report_csv_row(report)
+
+    if case == "exhaustive":
+        row_bytes = val_row_bytes(xor_dataset, arch)
+        name = "CLASSIFY_CHUNK_BYTES"
+        rows_per_size = {k * row_bytes: k for k in (1, 7, grid.num_points)}
+    else:
+        name, rows_per_size = "TRAIN_CHUNK", {7: 7, 64: 64}
+    num_samples = 20 if case.startswith("sampled") else grid.num_points
+    shapes = count_classify_calls(monkeypatch)
+    reports = []
+    for size, chunk_rows in rows_per_size.items():
+        monkeypatch.setattr(evaluate, name, size)
+        shapes.clear()
+        reports.append(report_row())
+        assert len(shapes) == math.ceil(num_samples / chunk_rows)
+    assert all(report == reports[0] for report in reports)
+
+
+@pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
+def test_one_classify_call_per_chunk(mode, xor_dataset, monkeypatch):
+    # each chunk is classified by one call over its whole weight stack, never
+    # one call per network
+    shapes = count_classify_calls(monkeypatch)
     if mode == "sampled":
         arch = MlpArchitecture(2, 2, 1)
+        monkeypatch.setattr(evaluate, "TRAIN_CHUNK", 7)
         report = evaluate_sampled(arch, xor_dataset, 20, seed=3)
     else:
         arch = MlpArchitecture(2, 1, 1)
+        monkeypatch.setattr(evaluate, "CLASSIFY_CHUNK_BYTES", 7 * val_row_bytes(xor_dataset, arch))
         report = evaluate_exhaustive(arch, xor_dataset, WeightGrid((-1.0, 1.0), arch.weight_count))
     n = report.num_samples
     assert report.excluded == 0 and n == (20 if mode == "sampled" else 32)
@@ -410,7 +439,29 @@ def test_exhaustive_grid_is_product_order(xor_dataset, monkeypatch):
     grid = WeightGrid((2.0, -1.0, 0.5), arch.weight_count)
     evaluate_exhaustive(arch, xor_dataset, grid)
     expected = np.array(list(itertools.product(grid.levels, repeat=grid.weight_count)))
-    assert np.array_equal(seen["weights"], expected)
+    rows = seen["weights"]
+    assert len(rows) == len(expected) == 243
+    for chunk in (1, 7, 100, 243, 1000):
+        pieces = [rows[start : start + chunk] for start in range(0, len(rows), chunk)]
+        assert all(piece.dtype == np.float64 for piece in pieces)
+        assert np.array_equal(np.concatenate(pieces), expected)
+
+
+def test_untrained_grid_memory_is_bounded_by_the_chunk_bytes(xor_dataset):
+    # 131,072 points, whose (N, W) float64 array alone would take 17.8 MB; what
+    # may grow with the grid is a few numbers per point (miss counts,
+    # accuracies, the score's running sums), never a row of weights
+    arch = MlpArchitecture(2, 4, 1)
+    grid = WeightGrid((-1.0, 1.0), arch.weight_count)
+    assert grid.num_points * arch.weight_count * 8 > 17.8e6
+    tracemalloc.start()
+    try:
+        report = evaluate_exhaustive(arch, xor_dataset, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.num_samples == grid.num_points
+    assert peak < 4 * evaluate.CLASSIFY_CHUNK_BYTES + 32 * grid.num_points
 
 
 @pytest.mark.parametrize("hidden", [1, 2])

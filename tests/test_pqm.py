@@ -389,6 +389,26 @@ def test_retrieve_from_distances_is_the_analytic_and_score_formula():
         assert pqm.retrieve_from_distances(misses, n).p0 == evaluate.score(performances, n)
 
 
+def test_retrieve_from_distances_sums_left_to_right():
+    # the reference is the plain loop; the builtin `sum` compensates from
+    # Python 3.12 and np.sum adds pairwise, so neither may stand in for it
+    rng = np.random.default_rng(78)
+    cases = [(360, 19683)] + [
+        (int(rng.integers(1, 401)), int(rng.integers(1, 30001))) for _ in range(30)
+    ]
+    for n, size in cases:
+        distances = rng.integers(0, n + 1, size).tolist()
+        cos_sq = [math.cos(math.pi * d / (2 * n)) ** 2 for d in range(n + 1)]
+        sin_sq = [math.sin(math.pi * d / (2 * n)) ** 2 for d in range(n + 1)]
+        p0 = p1 = 0.0
+        for d in distances:
+            p0 += cos_sq[d]
+            p1 += sin_sq[d]
+        want = pqm.RetrievalOutcome(p0 / size, p1 / size)
+        assert pqm.retrieve_from_distances(distances, n) == want
+        assert pqm.retrieve_from_distances(np.array(distances), n) == want
+
+
 def test_apply_retrieval_needs_room_for_its_registers():
     with pytest.raises(ValueError, match="at least 5 qubits, got 4"):
         pqm.apply_retrieval(qsim.StateVector(4), 2)
