@@ -42,6 +42,7 @@ DEFAULTS = {
 }
 
 def _load_config_file(path) -> dict:
+    """key -> (value, line number) for the key=value lines of `path`."""
     values = {}
     with dataio.open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -55,49 +56,54 @@ def _load_config_file(path) -> dict:
             if key not in DEFAULTS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = type(DEFAULTS[key])(value.strip())
+                values[key] = type(DEFAULTS[key])(value.strip()), lineno
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-            if key == "activation" and values[key] not in ACTIVATIONS:
-                raise ValueError(
-                    f"{path}:{lineno}: bad value for activation: "
-                    f"must be one of {ACTIVATIONS}, got {values[key]!r}"
-                )
     return values
 
 
-def _check_seed(seed: int) -> None:
+def _check_setting(key: str, value) -> None:
+    """Reject a value that `key` may not take, whatever the other settings are."""
+    if key in ("threads", "samples", "budget") and value < 1:
+        raise ValueError(f"{key} must be >= 1, got {value}")
     # numpy rejects a negative seed only when the first generator is built,
     # after the input is read, and without naming the flag
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    if key == "seed" and value < 0:
+        raise ValueError(f"seed must be >= 0, got {value}")
+    if key in ("alpha", "max_iter", "learning_rate", "tolerance"):
+        TrainConfig(**{"l2_alpha" if key == "alpha" else key: value})
+    if key == "train_fraction":
+        dataio.SplitSpec(value)
+    if key == "activation" and value not in ACTIVATIONS:
+        raise ValueError(f"must be one of {ACTIVATIONS}, got {value!r}")
 
 
 def _resolve(args: argparse.Namespace) -> Tuple[dict, TrainConfig, dataio.SplitSpec]:
     """Apply flag > config-file > default precedence for the shared options.
 
-    Also builds the training settings and the split, so that bad settings
-    are rejected before any data is read.
+    Also checks each setting, naming the line of a bad one from the file, and
+    builds the training settings and the split before any data is read.
     """
-    from_file = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    from_file = _load_config_file(args.config) if args.config else {}
     cfg = dict(DEFAULTS)
-    cfg.update(from_file)
     for key in DEFAULTS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             cfg[key] = flag_value
-    if cfg["threads"] < 1:
-        raise ValueError(f"threads must be >= 1, got {cfg['threads']}")
-    if cfg["samples"] < 1:
-        raise ValueError(f"samples must be >= 1, got {cfg['samples']}")
-    _check_seed(cfg["seed"])
-    train_cfg = TrainConfig(
-        max_iter=cfg["max_iter"],
-        l2_alpha=cfg["alpha"],
-        learning_rate=cfg["learning_rate"],
-        tolerance=cfg["tolerance"],
-    )
-    split_spec = dataio.SplitSpec(cfg["train_fraction"], cfg["seed"], stratified=True)
+        elif key in from_file:
+            cfg[key] = from_file[key][0]
+        if not hasattr(args, key):  # no flag: the hidden range, or sweep's unread budget
+            continue
+        try:
+            _check_setting(key, cfg[key])
+        except ValueError as exc:
+            if flag_value is not None or key not in from_file:
+                raise
+            where = f"{args.config}:{from_file[key][1]}"
+            raise ValueError(f"{where}: bad value for {key}: {exc}") from exc
+    train_cfg = TrainConfig(max_iter=cfg["max_iter"], l2_alpha=cfg["alpha"],
+                            learning_rate=cfg["learning_rate"], tolerance=cfg["tolerance"])
+    split_spec = dataio.SplitSpec(cfg["train_fraction"], cfg["seed"])
     return cfg, train_cfg, split_spec
 
 
@@ -196,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_pqm(args: argparse.Namespace) -> int:
     if args.shots is not None and args.shots < 1:
         raise ValueError(f"--shots must be >= 1, got {args.shots}")
-    _check_seed(args.seed)
+    _check_setting("seed", args.seed)
     memory = pqm.PatternMemory.from_file(args.memory_file)
     input_pattern = pqm.BitString.from_string(args.input_bits)
     outcome = pqm.retrieve_analytic(memory, input_pattern)
@@ -230,12 +236,18 @@ def _parse_levels(text: str) -> Tuple[float, ...]:
     return levels
 
 
+def _write_reports(reports: List[evaluate.ArchitectureReport], out: Optional[str]) -> None:
+    """The report CSV, written to `out` or, without a path, printed."""
+    if out:
+        evaluate.write_reports_csv(reports, out)
+    else:
+        print("\n".join([evaluate.REPORT_CSV_HEADER, *map(evaluate.report_csv_row, reports)]))
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     cfg, train_cfg, split_spec = _resolve(args)
     if args.hidden < 1:
         raise ValueError(f"--hidden must be >= 1, got {args.hidden}")
-    if cfg["budget"] < 1:
-        raise ValueError(f"budget must be >= 1, got {cfg['budget']}")
     if args.exhaustive:
         levels = _parse_levels("-1,0,1" if args.levels is None else args.levels)
         # only the flag: a config file's samples= is shared with sweep
@@ -265,11 +277,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         )
     print(f"score_p0={report.score_p0:.6f} mean_accuracy={report.mean_accuracy:.6f} "
           f"samples={report.num_samples} excluded={report.excluded}")
-    if args.out:
-        evaluate.write_reports_csv([report], args.out)
-    else:
-        print(evaluate.REPORT_CSV_HEADER)
-        print(evaluate.report_csv_row(report))
+    _write_reports([report], args.out)
     return EXIT_OK
 
 
@@ -293,12 +301,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         split_spec=split_spec,
         activation=cfg["activation"],
     )
-    if args.out:
-        evaluate.write_reports_csv(reports, args.out)
-    else:
-        print(evaluate.REPORT_CSV_HEADER)
-        for report in reports:
-            print(evaluate.report_csv_row(report))
+    _write_reports(reports, args.out)
     if args.plot:
         svgplot.write_scatter(
             args.plot,
@@ -313,7 +316,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    _check_seed(args.seed)
+    _check_setting("seed", args.seed)
     dataset = dataio.make_synthetic(args.kind, args.n, args.noise, args.seed)
     dataio.write_csv(dataset, args.out)
     print(f"wrote {dataset.num_examples} rows to {args.out}")

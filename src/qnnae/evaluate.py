@@ -197,16 +197,17 @@ def evaluate_weight_list(
     (S, weight_count) array, a list of rows and a `WeightGrid` all serve, and
     a grid makes its points one chunk at a time.  Training runs on stacks of
     TRAIN_CHUNK models; an untrained chunk holds as many rows as keep its
-    classification's largest buffer within CLASSIFY_CHUNK_BYTES.  The final
-    reduction runs in sample order.  Each network is reduced to its number of
-    validation misses; diverged trainings are excluded from the memory and
-    counted.  `split_spec` defaults to a stratified split seeded by `seed`.
+    classification's largest buffer within CLASSIFY_CHUNK_BYTES.  Both splits
+    are standardized once, here, and `mlp` trains and classifies them as given.
+    The final reduction runs in sample order.  Each network is reduced to its
+    number of validation misses; diverged trainings are excluded from the
+    memory and counted.  `split_spec` defaults to `SplitSpec(seed=seed)`.
     """
     x_train, y_train, x_val, y_val, mean, scale = standardized_splits(
         dataset, split_spec or SplitSpec(seed=seed)
     )
     t_s = len(y_val)
-    # the same (x - mean) / scale a model with these statistics would apply
+    x_train = (x_train - mean) / scale
     x_val = (x_val - mean) / scale
     if train:
         chunk = TRAIN_CHUNK
@@ -219,7 +220,7 @@ def evaluate_weight_list(
     for start in range(0, len(weights), chunk):
         stack = np.asarray(weights[start : start + chunk], dtype=np.float64)
         if train:
-            stack, diverged = mlp.train_batch(arch, stack, x_train, y_train, train_cfg, mean, scale)
+            stack, diverged = mlp.train_batch(arch, stack, x_train, y_train, train_cfg)
             stack = stack[~diverged]
             excluded += int(diverged.sum())
         predicted = mlp.classify(MlpModel(arch, stack), x_val)

@@ -75,8 +75,6 @@ class MlpModel:
 
     architecture: MlpArchitecture
     weights: np.ndarray
-    feature_mean: Optional[np.ndarray] = None
-    feature_scale: Optional[np.ndarray] = None
 
     def __post_init__(self):
         w = self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -85,15 +83,12 @@ class MlpModel:
             raise ValueError(f"weights have shape {w.shape}, need ({count},) or (S, {count})")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
-        self.feature_mean, self.feature_scale = _feature_statistics(
-            self.architecture, self.feature_mean, self.feature_scale
-        )
 
 
 def _feature_statistics(
     arch: MlpArchitecture, mean, scale
 ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """Standardization statistics as float arrays, or (None, None).
+    """`train_batch`'s standardization statistics as float arrays, or (None, None).
 
     Both are given or neither; each has shape (input_dim,) and is finite, and
     no scale is zero.  Anything else is a ValueError.
@@ -153,14 +148,13 @@ def _activation_grad(a: np.ndarray, activation: str) -> np.ndarray:
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Raw output scores (pre-softmax / pre-sigmoid) of one network or a stack,
     for one example or a batch: shape weights.shape[:-1] + x.shape[:-1] + (o,).
+    x is used as given; callers standardize it.
     """
     x = np.asarray(x, dtype=np.float64)
     arch, w = model.architecture, model.weights
     if x.shape[-1] != arch.input_dim:
         raise ValueError(f"expected {arch.input_dim} features, got {x.shape[-1]}")
     xb = x.reshape(-1, arch.input_dim)
-    if model.feature_mean is not None:
-        xb = (xb - model.feature_mean) / model.feature_scale
     w1, w2 = _batched_unpack(arch, w.reshape(-1, arch.weight_count))
     # a run of rows whose input-to-hidden weights are bit-for-bit equal (as a
     # grid in product order has) shares one hidden layer; -0.0 and 0.0 differ
@@ -231,12 +225,10 @@ def train(
     arch = model.architecture
     if model.weights.ndim != 1:
         raise ValueError("train takes one network; train_batch trains a stack")
-    w, diverged = train_batch(
-        arch, model.weights[None, :], x, y, config, model.feature_mean, model.feature_scale
-    )
+    w, diverged = train_batch(arch, model.weights[None, :], x, y, config)
     if diverged[0]:
         raise TrainingDivergedError("non-finite loss during training")
-    return MlpModel(arch, w[0], model.feature_mean, model.feature_scale)
+    return MlpModel(arch, w[0])
 
 
 def _batched_unpack(arch: MlpArchitecture, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -374,7 +366,8 @@ def train_batch(
     """Train a stack of models by full-batch gradient descent with Armijo backtracking.
 
     x is (n, input_dim) with n >= 1 and y holds n labels in [0, num_classes),
-    and the feature statistics pass `MlpModel`'s checks, else ValueError.
+    else ValueError; given statistics that pass `_feature_statistics`, x is
+    first standardized as (x - feature_mean) / feature_scale.
     Each row keeps its own step size and Armijo acceptance.  Returns the final
     (S, weight_count) weights and a boolean mask of diverged models: those
     whose loss, any gradient entry or squared gradient norm went non-finite,

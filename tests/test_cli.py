@@ -403,6 +403,57 @@ def test_bad_training_settings_rejected_before_loading(
                 assert out == ""
 
 
+BAD_CONFIG_VALUES = [
+    ("samples", "0", "samples must be >= 1, got 0"),
+    ("alpha", "nan", "l2_alpha must be finite, got nan"),
+    ("max_iter", "0", "max_iter must be >= 1, got 0"),
+    ("learning_rate", "0", "learning_rate must be > 0, got 0.0"),
+    ("tolerance", "inf", "tolerance must be finite, got inf"),
+    ("train_fraction", "2", "train_fraction must be in (0,1), got 2.0"),
+    ("seed", "-1", "seed must be >= 0, got -1"),
+    ("threads", "0", "threads must be >= 1, got 0"),
+    ("budget", "0", "budget must be >= 1, got 0"),
+    ("activation", "softplus", "must be one of ('logistic', 'tanh', 'relu'), got 'softplus'"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", BAD_CONFIG_VALUES,
+                         ids=[key for key, _, _ in BAD_CONFIG_VALUES])
+def test_bad_config_value_names_its_file_and_line(
+    xor_csv, tmp_path, capsys, monkeypatch, key, value, message
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("loaded the dataset")
+
+    monkeypatch.setattr(dataio, "load_csv", fail)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# c\n{key}={value}\n")
+    evaluate = ["evaluate", xor_csv, "--hidden", "1"]
+    # sweep reads no budget; evaluate --exhaustive is where one is used
+    commands = [evaluate + ["--exhaustive"]] if key == "budget" else [["sweep", xor_csv], evaluate]
+    for command in commands:
+        for show in ([], ["--show-config"]):
+            code, out, err = run(capsys, *command, "--config", str(config), *show)
+            assert code == 1
+            assert out == ""
+            assert err.splitlines() == [f"error: {config}:2: bad value for {key}: {message}"]
+
+
+def test_flag_overrides_a_bad_config_value(xor_csv, tmp_path, capsys):
+    # only the value in effect is checked, whether it came from the file or not
+    config = tmp_path / "run.cfg"
+    config.write_text("samples=0\nactivation=softplus\nthreads=0\n")
+    argv = ["--config", str(config), "--samples", "2", "--activation", "tanh", "--threads", "1"]
+    for command in (["sweep", xor_csv], ["evaluate", xor_csv, "--hidden", "1"]):
+        code, out, err = run(capsys, *command, *argv, "--show-config")
+        assert (code, err) == (0, "")
+        assert "samples=2" in out and "activation=tanh" in out
+    # sweep reads no budget, so a config file may hold evaluate's
+    config.write_text("budget=0\n")
+    code, _, err = run(capsys, "sweep", xor_csv, "--config", str(config), "--show-config")
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("lo, hi", [(3, 3), (0, 2), (5, 2)])
 def test_bad_hidden_range_rejected_before_loading(
     xor_csv, tmp_path, capsys, monkeypatch, lo, hi

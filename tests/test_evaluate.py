@@ -186,7 +186,7 @@ def test_sampled_score_matches_retrieval(xor_dataset):
     )
     trained, _ = mlp.train_batch(arch, stack, x_train, y_train, None, mean, scale)
     vectors = [
-        performance_vector(MlpModel(arch, w, mean, scale), x_val, y_val)
+        performance_vector(MlpModel(arch, w), (x_val - mean) / scale, y_val)
         for w in trained
     ]
     via_memory = pqm.retrieve_analytic(
@@ -195,21 +195,35 @@ def test_sampled_score_matches_retrieval(xor_dataset):
     assert report.score_p0 == pytest.approx(via_memory.p0, abs=1e-12)
 
 
+@pytest.mark.parametrize("activation", ["logistic", "tanh", "relu"])
 @pytest.mark.parametrize("dataset_name", ["xor_dataset", "blobs3_dataset"])
-def test_pipeline_miss_counts_match_performance_vectors(dataset_name, request):
-    # the pipeline's per-network miss counts equal the public performance vectors'
+def test_pipeline_miss_counts_match_performance_vectors(
+    dataset_name, activation, request, monkeypatch
+):
+    # the pipeline's per-network miss counts equal the public performance
+    # vectors'; the pipeline standardizes before training while this replay
+    # lets train_batch standardize, and both routes train the same bits
     dataset = request.getfixturevalue(dataset_name)
-    arch = evaluate.architecture_for(dataset, 3, "logistic")
+    arch = evaluate.architecture_for(dataset, 3, activation)
     seed = 4
     spec = SplitSpec(seed=seed)
+    real, pipeline_weights = mlp.train_batch, []
+
+    def recording(*args):
+        weights, diverged = real(*args)
+        pipeline_weights.append(weights)
+        return weights, diverged
+
+    monkeypatch.setattr(mlp, "train_batch", recording)
     report = evaluate_sampled(arch, dataset, num_samples=10, seed=seed, split_spec=spec)
     x_train, y_train, x_val, y_val, mean, scale = evaluate.standardized_splits(dataset, spec)
     stack = np.stack(
         [mlp.init_weights(arch, np.random.SeedSequence((seed, i))) for i in range(10)]
     )
-    trained, _ = mlp.train_batch(arch, stack, x_train, y_train, None, mean, scale)
+    trained, _ = real(arch, stack, x_train, y_train, None, mean, scale)
+    assert np.array_equal(np.concatenate(pipeline_weights), trained)
     vectors = [
-        performance_vector(MlpModel(arch, w, mean, scale), x_val, y_val) for w in trained
+        performance_vector(MlpModel(arch, w), (x_val - mean) / scale, y_val) for w in trained
     ]
     t_s = len(y_val)
     misses = np.rint(t_s * (1.0 - report.accuracy_per_sample)).astype(int)
@@ -489,7 +503,7 @@ def test_untrained_binary_grid_pairs_each_point_with_its_negated_output_layer(
     twin_digits = digits.copy()
     twin_digits[:, -(hidden + 1):] = num_levels - 1 - digits[:, -(hidden + 1):]
     twin = twin_digits @ num_levels ** np.arange(width - 1, -1, -1)
-    scores = mlp.forward(MlpModel(arch, np.array(levels)[digits], mean, scale), x_val)
+    scores = mlp.forward(MlpModel(arch, np.array(levels)[digits]), (x_val - mean) / scale)
     zero = np.any(scores[..., 0] == 0.0, axis=1)
     assert np.array_equal(zero, zero[twin])
 

@@ -113,16 +113,12 @@ def test_model_rejects_bad_weights():
     ([0.0, 0.0], [np.inf, 1.0], "feature_scale must be finite"),
     ([0.0, 0.0], None, "given together"),
 ], ids=["nan-mean", "short-mean", "zero-scale", "inf-scale", "mean-only"])
-@pytest.mark.parametrize("caller", ["MlpModel", "train_batch"])
-def test_feature_statistics_are_checked(caller, mean, scale, message):
-    # each of these used to classify every example as 0, broadcast, or warn
+def test_feature_statistics_are_checked(mean, scale, message):
+    # statistics that would standardize to NaN, broadcast, or warn are rejected
     arch = MlpArchitecture(2, 2, 1)
     stack = np.stack([init_weights(arch, s) for s in range(2)])
     with pytest.raises(ValueError, match=message):
-        if caller == "MlpModel":
-            MlpModel(arch, stack, mean, scale)
-        else:
-            mlp.train_batch(arch, stack, XOR_X, XOR_Y, None, mean, scale)
+        mlp.train_batch(arch, stack, XOR_X, XOR_Y, None, mean, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +242,16 @@ def test_stack_matches_one_network_at_a_time(output_dim, activation):
     arch = MlpArchitecture(3, 4, output_dim, activation)
     stack = 2.0 * rng.normal(size=(6, arch.weight_count))
     mean, scale = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
-    xs = (rng.normal(size=(50, 3)), rng.normal(size=3))
+    xs = ((rng.normal(size=(50, 3)) - mean) / scale, (rng.normal(size=3) - mean) / scale)
     grid = product_order_stack(arch, stack, rng)
     for chunk in [stack] + [grid[i : i + 4] for i in range(0, len(grid), 4)]:
-        stacked = MlpModel(arch, chunk, mean, scale)
+        stacked = MlpModel(arch, chunk)
         for x in xs:
             scores, labels = forward(stacked, x), classify(stacked, x)
             assert scores.shape == (len(chunk),) + x.shape[:-1] + (output_dim,)
             assert labels.shape == (len(chunk),) + x.shape[:-1]
             for i, w in enumerate(chunk):
-                one = MlpModel(arch, w, mean, scale)
+                one = MlpModel(arch, w)
                 assert np.array_equal(scores[i], forward(one, x))
                 assert np.array_equal(labels[i], classify(one, x))
 
