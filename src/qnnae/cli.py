@@ -78,11 +78,13 @@ def _check_setting(key: str, value) -> None:
         raise ValueError(f"must be one of {ACTIVATIONS}, got {value!r}")
 
 
-def _resolve(args: argparse.Namespace) -> Tuple[dict, TrainConfig, dataio.SplitSpec]:
+def _resolve(args: argparse.Namespace, unread: Tuple[str, ...]) -> Tuple[dict, TrainConfig, dataio.SplitSpec]:
     """Apply flag > config-file > default precedence for the shared options.
 
     Also checks each setting, naming the line of a bad one from the file, and
-    builds the training settings and the split before any data is read.
+    builds the training settings and the split before any data is read.  A
+    key in `unread`, a setting the run does not read, is checked only when it
+    comes from a flag, so one config file can serve every command and mode.
     """
     from_file = _load_config_file(args.config) if args.config else {}
     cfg = dict(DEFAULTS)
@@ -92,7 +94,7 @@ def _resolve(args: argparse.Namespace) -> Tuple[dict, TrainConfig, dataio.SplitS
             cfg[key] = flag_value
         elif key in from_file:
             cfg[key] = from_file[key][0]
-        if not hasattr(args, key):  # no flag: the hidden range, or sweep's unread budget
+        if flag_value is None and key in unread:
             continue
         try:
             _check_setting(key, cfg[key])
@@ -245,16 +247,15 @@ def _write_reports(reports: List[evaluate.ArchitectureReport], out: Optional[str
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg, train_cfg, split_spec = _resolve(args)
+    unread = ("hidden_lo", "hidden_hi", "samples" if args.exhaustive else "budget")
+    cfg, train_cfg, split_spec = _resolve(args, unread)
     if args.hidden < 1:
         raise ValueError(f"--hidden must be >= 1, got {args.hidden}")
     if args.exhaustive:
         levels = _parse_levels("-1,0,1" if args.levels is None else args.levels)
-        # only the flag: a config file's samples= is shared with sweep
         if args.samples is not None:
             raise ValueError("--samples has no effect with --exhaustive")
     else:
-        # only the --budget flag: a config file's budget= is shared with sweep
         for flag, given in (("--levels", args.levels is not None),
                             ("--train-grid", args.train_grid),
                             ("--budget", args.budget is not None)):
@@ -282,9 +283,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg, train_cfg, split_spec = _resolve(args)
-    if args.hidden_range is not None:
-        cfg["hidden_lo"], cfg["hidden_hi"] = args.hidden_range
+    args.hidden_lo, args.hidden_hi = args.hidden_range or (None, None)
+    cfg, train_cfg, split_spec = _resolve(args, ("budget",))
     evaluate.check_hidden_range(cfg["hidden_lo"], cfg["hidden_hi"])
     _check_output_path("--out", args.out)
     _check_output_path("--plot", args.plot)
@@ -317,6 +317,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     _check_setting("seed", args.seed)
+    _check_output_path("--out", args.out)
     dataset = dataio.make_synthetic(args.kind, args.n, args.noise, args.seed)
     dataio.write_csv(dataset, args.out)
     print(f"wrote {dataset.num_examples} rows to {args.out}")

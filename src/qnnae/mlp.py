@@ -109,8 +109,8 @@ def _feature_statistics(
     return mean, scale
 
 
-def init_weights(arch: MlpArchitecture, rng_seed: int) -> np.ndarray:
-    """Per-layer uniform draw on [-r, r] with r = sqrt(6 / (fan_in + fan_out))."""
+def init_weights(arch: MlpArchitecture, rng_seed: int | np.random.SeedSequence) -> np.ndarray:
+    """Glorot uniform draw on [-r, r] per layer; `rng_seed` is an int or a SeedSequence."""
     rng = np.random.default_rng(rng_seed)
     r1 = math.sqrt(6.0 / (arch.input_dim + arch.hidden_neurons))
     r2 = math.sqrt(6.0 / (arch.hidden_neurons + arch.output_dim))

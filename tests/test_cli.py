@@ -448,10 +448,22 @@ def test_flag_overrides_a_bad_config_value(xor_csv, tmp_path, capsys):
         code, out, err = run(capsys, *command, *argv, "--show-config")
         assert (code, err) == (0, "")
         assert "samples=2" in out and "activation=tanh" in out
-    # sweep reads no budget, so a config file may hold evaluate's
-    config.write_text("budget=0\n")
-    code, _, err = run(capsys, "sweep", xor_csv, "--config", str(config), "--show-config")
-    assert (code, err) == (0, "")
+    # a value that the run does not read is not checked: sweep and sampled
+    # evaluate read no budget, evaluate --exhaustive no samples, and evaluate
+    # no hidden range
+    evaluate = ["evaluate", xor_csv, "--hidden", "1"]
+    exhaustive = evaluate + ["--exhaustive", "--levels=-1,1"]
+    for text, command, shown in (
+        ("budget=0\n", ["sweep", xor_csv], "budget=0"),
+        ("budget=0\n", evaluate, "budget=0"),
+        ("samples=0\n", exhaustive, "samples=0"),
+        ("hidden_lo=0\n", evaluate, "hidden_range=[0,20)"),
+        ("hidden_lo=0\n", exhaustive, "hidden_range=[0,20)"),
+    ):
+        config.write_text(text)
+        code, out, err = run(capsys, *command, "--config", str(config), "--show-config")
+        assert (code, err) == (0, "")
+        assert shown in out
 
 
 @pytest.mark.parametrize("lo, hi", [(3, 3), (0, 2), (5, 2)])
@@ -512,17 +524,24 @@ def test_bad_evaluate_flags_rejected_before_loading(
 @pytest.mark.parametrize("command", [
     ["sweep", "--hidden-range", "1", "2", "--samples", "2", "--max-iter", "5"],
     ["evaluate", "--hidden", "1", "--samples", "2", "--max-iter", "5"],
+    ["synth", "xor"],
 ])
 def test_bad_output_path_rejected_before_loading(
     xor_csv, tmp_path, capsys, monkeypatch, command
 ):
     def fail(*args, **kwargs):
-        raise AssertionError("loaded the dataset")
+        raise AssertionError("loaded or generated the dataset")
 
     monkeypatch.setattr(dataio, "load_csv", fail)
+    monkeypatch.setattr(dataio, "make_synthetic", fail)
     a_file = tmp_path / "file.txt"
     a_file.write_text("")
     flags = ["--out", "--plot"] if command[0] == "sweep" else ["--out"]
+    # synth reads no dataset and has no --show-config
+    if command[0] == "synth":
+        head, shows = command, ([],)
+    else:
+        head, shows = [command[0], xor_csv, *command[1:]], ([], ["--show-config"])
     targets = [
         (str(tmp_path / "missing" / "x"), f"directory {tmp_path / 'missing'} does not exist"),
         (str(a_file / "x"), f"{a_file} is not a directory"),
@@ -531,9 +550,8 @@ def test_bad_output_path_rejected_before_loading(
     before = sorted(tmp_path.iterdir())
     for flag in flags:
         for target, message in targets:
-            for show in ([], ["--show-config"]):
-                argv = [command[0], xor_csv, *command[1:], flag, target, *show]
-                code, out, err = run(capsys, *argv)
+            for show in shows:
+                code, out, err = run(capsys, *head, flag, target, *show)
                 assert code == 1
                 assert f"error: {flag}: {message}" in err
                 assert out == ""
@@ -546,9 +564,8 @@ def test_bad_output_path_rejected_before_loading(
     monkeypatch.setattr(cli.os, "access", lambda path, mode: (
         mode != cli.os.W_OK and real_access(path, mode)))
     for flag in flags:
-        for show in ([], ["--show-config"]):
-            argv = [command[0], xor_csv, *command[1:], flag, str(tmp_path / "x"), *show]
-            code, out, err = run(capsys, *argv)
+        for show in shows:
+            code, out, err = run(capsys, *head, flag, str(tmp_path / "x"), *show)
             assert code == 1
             assert f"error: {flag}: directory {tmp_path} is not writable" in err
             assert out == ""
