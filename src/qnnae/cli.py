@@ -81,10 +81,11 @@ def _check_setting(key: str, value) -> None:
 def _resolve(args: argparse.Namespace, unread: Tuple[str, ...]) -> Tuple[dict, TrainConfig, dataio.SplitSpec]:
     """Apply flag > config-file > default precedence for the shared options.
 
-    Also checks each setting, naming the line of a bad one from the file, and
-    builds the training settings and the split before any data is read.  A
-    key in `unread`, a setting the run does not read, is checked only when it
-    comes from a flag, so one config file can serve every command and mode.
+    Also checks each setting and the hidden range its two keys make, naming
+    the line of a bad one from the file, and builds the training settings and
+    the split before any data is read.  A key in `unread`, a setting the run
+    does not read, is checked only when it comes from a flag, so one config
+    file can serve every command and mode.
     """
     from_file = _load_config_file(args.config) if args.config else {}
     cfg = dict(DEFAULTS)
@@ -101,6 +102,19 @@ def _resolve(args: argparse.Namespace, unread: Tuple[str, ...]) -> Tuple[dict, T
         except ValueError as exc:
             if flag_value is not None or key not in from_file:
                 raise
+            where = f"{args.config}:{from_file[key][1]}"
+            raise ValueError(f"{where}: bad value for {key}: {exc}") from exc
+    if "hidden_lo" not in unread:
+        try:
+            evaluate.check_hidden_range(cfg["hidden_lo"], cfg["hidden_hi"])
+        except ValueError as exc:
+            # --hidden-range sets both bounds, so a bound without a flag came
+            # from the file or is the default (lo=1, which is never at fault)
+            in_file = {key for key in ("hidden_lo", "hidden_hi")
+                       if getattr(args, key, None) is None and key in from_file}
+            if not in_file:
+                raise
+            key = "hidden_hi" if "hidden_hi" in in_file and cfg["hidden_lo"] >= 1 else "hidden_lo"
             where = f"{args.config}:{from_file[key][1]}"
             raise ValueError(f"{where}: bad value for {key}: {exc}") from exc
     train_cfg = TrainConfig(max_iter=cfg["max_iter"], l2_alpha=cfg["alpha"],
@@ -285,7 +299,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     args.hidden_lo, args.hidden_hi = args.hidden_range or (None, None)
     cfg, train_cfg, split_spec = _resolve(args, ("budget",))
-    evaluate.check_hidden_range(cfg["hidden_lo"], cfg["hidden_hi"])
     _check_output_path("--out", args.out)
     _check_output_path("--plot", args.plot)
     if args.show_config:

@@ -290,18 +290,28 @@ def retrieve_circuit(
     """Shot-sampled retrieval: measure the control qubit `shots` times.
 
     State preparation is deterministic, so the prepared state is built once (or
-    taken from `state`, which is only read) and each shot measures a fresh copy
-    of it in one reused scratch state.  Shot i uses seed rng_seed + i, making
-    results independent of execution order.
+    taken from `state`, which is only read).  A shot reads only the control
+    qubit, so its marginal is read once from the state into a 1-qubit state
+    with amplitudes [sqrt(p0), sqrt(p1)], and each shot measures a fresh copy
+    of that marginal in one reused 2-amplitude scratch state.  Shot i uses
+    seed rng_seed + i, making results independent of execution order.
+
+    The marginal is left unnormalized, so each shot compares its draw with
+    p1' = fl(sqrt(p1)**2), which is p1 or 1 ulp away from it.  A draw is a
+    multiple of 2**-53, so at most one draw value lies between p1 and p1':
+    a shot reads differently from measuring a copy of the whole state with
+    probability at most 2**-53.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     state = _given_or_built(memory, input_pattern, state)
     control = 2 * memory.pattern_length
-    scratch = state.copy()
+    marginal = qsim.StateVector(1, [math.sqrt(state.probability(control, value))
+                                    for value in (0, 1)])
+    scratch = marginal.copy()
     counts = {0: 0, 1: 0}
     for shot in range(shots):
-        np.copyto(scratch.amplitudes, state.amplitudes)
-        outcome, _ = qsim.measure_qubit(scratch, control, rng_seed + shot)
+        np.copyto(scratch.amplitudes, marginal.amplitudes)
+        outcome, _ = qsim.measure_qubit(scratch, 0, rng_seed + shot)
         counts[outcome] += 1
     return RetrievalOutcome(counts[0] / shots, counts[1] / shots), counts

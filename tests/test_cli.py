@@ -484,6 +484,25 @@ def test_bad_hidden_range_rejected_before_loading(
             assert out == ""
 
 
+@pytest.mark.parametrize("text, where", [
+    ("hidden_lo=0\n", "1: bad value for hidden_lo"),
+    ("# range\nhidden_hi=1\n", "2: bad value for hidden_hi"),
+    ("hidden_lo=0\nhidden_hi=5\n", "1: bad value for hidden_lo"),
+    ("hidden_hi=3\nhidden_lo=3\n", "1: bad value for hidden_hi"),
+    ("hidden_lo=25\n", "1: bad value for hidden_lo"),
+])
+def test_bad_hidden_range_from_file_names_its_line(xor_csv, tmp_path, capsys, text, where):
+    config = tmp_path / "h.cfg"
+    config.write_text(text)
+    code, out, err = run(capsys, "sweep", xor_csv, "--config", str(config))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {config}:{where}: hidden range needs 1 <= lo < hi")
+    # a flag overrides both bounds, so the file is not blamed
+    code, _, err = run(capsys, "sweep", xor_csv, "--config", str(config),
+                       "--hidden-range", "0", "2")
+    assert code == 1 and f"{config}:" not in err
+
+
 @pytest.mark.parametrize("flags, config_text, message", [
     (["--hidden", "0"], None, "--hidden must be >= 1, got 0"),
     (["--hidden=-2", "--exhaustive"], None, "--hidden must be >= 1, got -2"),

@@ -1,5 +1,6 @@
 """Pattern-memory tests: analytic retrieval vs the simulated circuit."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,10 +197,10 @@ def random_memory(rng, n):
     return PatternMemory(BitString(p) for p in patterns), BitString(rng.integers(0, 2, n))
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_shots_match_one_copy_per_shot(n):
     rng = np.random.default_rng(n)
-    for trial in range(4):
+    for trial in range(4 if n <= 5 else 2):
         memory, probe = random_memory(rng, n)
         seed = int(rng.integers(0, 1000))
         state = retrieval_state(memory, probe)
@@ -209,6 +210,41 @@ def test_shots_match_one_copy_per_shot(n):
             expected[outcome] += 1
         _, counts = retrieve_circuit(memory, probe, 60, seed)
         assert counts == expected
+
+
+def test_shots_trace_less_than_one_state_copy():
+    memory, probe = random_memory(np.random.default_rng(8), 8)
+    state = retrieval_state(memory, probe)
+    tracemalloc.start()
+    try:
+        retrieve_circuit(memory, probe, 50, 3, state=state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < state.amplitudes.nbytes  # 2 MiB at n=8
+
+
+def test_shot_marginal_is_within_one_ulp_of_p1(monkeypatch):
+    """Each shot compares its draw, a multiple of 2**-53, with the marginal's
+    p1' instead of the state's p1; within one ulp at most one draw value
+    separates them, so a shot moves with probability at most 2**-53."""
+    measured = []
+    measure_qubit = qsim.measure_qubit
+
+    def recording(state, q, rng):
+        measured.append(state.probability(q, 1))
+        return measure_qubit(state, q, rng)
+
+    monkeypatch.setattr(qsim, "measure_qubit", recording)
+    rng = np.random.default_rng(80)
+    for n in range(1, 9):
+        for trial in range(10):
+            memory, probe = random_memory(rng, n)
+            state = retrieval_state(memory, probe)
+            p1 = state.probability(2 * n, 1)
+            measured.clear()
+            retrieve_circuit(memory, probe, 1, 0, state=state)
+            assert abs(measured[0] - p1) <= math.ulp(p1)
 
 
 def documented_retrieval_state(memory, probe):
