@@ -124,9 +124,14 @@ def _resolve(args: argparse.Namespace, unread: Tuple[str, ...]) -> Tuple[dict, T
 
 
 def _check_output_path(flag: str, path: Optional[str]) -> None:
-    """Reject an output path that cannot be opened for writing, before any work."""
-    if not path:
+    """Reject an output path that cannot be opened for writing, before any work.
+
+    Only None means "not given"; an empty path is an error.
+    """
+    if path is None:
         return
+    if not path:
+        raise ValueError(f"{flag}: empty path")
     if os.path.isdir(path):
         raise ValueError(f"{flag}: {path} is a directory")
     directory = os.path.dirname(path) or "."
@@ -254,7 +259,7 @@ def _parse_levels(text: str) -> Tuple[float, ...]:
 
 def _write_reports(reports: List[evaluate.ArchitectureReport], out: Optional[str]) -> None:
     """The report CSV, written to `out` or, without a path, printed."""
-    if out:
+    if out is not None:
         evaluate.write_reports_csv(reports, out)
     else:
         print("\n".join([evaluate.REPORT_CSV_HEADER, *map(evaluate.report_csv_row, reports)]))
@@ -315,7 +320,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         activation=cfg["activation"],
     )
     _write_reports(reports, args.out)
-    if args.plot:
+    if args.plot is not None:
         svgplot.write_scatter(
             args.plot,
             [r.mean_accuracy for r in reports],

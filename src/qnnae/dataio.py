@@ -1,8 +1,8 @@
 """Dataset loading, deterministic train/validation splitting, synthetic generators.
 
 CSV schema: UTF-8, comma separated, header `f1,...,fk,label`.  Labels may be any
-tokens; they are mapped to dense integers in order of first appearance and the
-mapping is kept on the Dataset.
+non-empty tokens; they are mapped to dense integers in order of first appearance
+and the mapping is kept on the Dataset.
 """
 from __future__ import annotations
 
@@ -143,8 +143,11 @@ def load_csv(path) -> Dataset:
                         f"{path}:{lineno}: non-finite feature {row[i]!r} in column {header[i]}"
                     )
                 values.append(v)
+            label = row[label_col].strip()
+            if not label:
+                raise ValueError(f"{path}:{lineno}: empty label")
             rows.append(values)
-            raw_labels.append(row[label_col].strip())
+            raw_labels.append(label)
 
     if not rows:
         raise ValueError(f"{path}: no data rows")

@@ -369,10 +369,10 @@ def train_batch(
     else ValueError; given statistics that pass `_feature_statistics`, x is
     first standardized as (x - feature_mean) / feature_scale.
     Each row keeps its own step size and Armijo acceptance.  Returns the final
-    (S, weight_count) weights and a boolean mask of diverged models: those
-    whose loss, any gradient entry or squared gradient norm went non-finite,
-    at the initial weights or after a step (their row holds the last weights
-    reached).  Overflow is handled through these checks and the line search's
+    (S, weight_count) weights as a new array, leaving `weights` as it was, and
+    a boolean mask of diverged models: those whose loss, any gradient entry or
+    squared gradient norm went non-finite, at the initial weights or after a
+    step (their row holds the last weights reached).  Overflow is handled through these checks and the line search's
     rejection of non-finite trial losses, so it raises no numpy warning.
     """
     config = config or TrainConfig()
@@ -401,47 +401,41 @@ def train_batch(
     # a non-finite gradient entry makes the squared norm non-finite too
     diverged = ~(np.isfinite(loss) & np.isfinite(gnorm_sq))
     active = ~diverged
+    # forward state of each row's accepted step, for the gradient call
+    hidden = np.empty((len(w), len(x), arch.hidden_neurons))
+    z = np.empty((len(w), len(x), arch.output_dim))
     for _ in range(config.max_iter):
         active &= np.sqrt(gnorm_sq) >= config.tolerance
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
             break
         step = np.minimum(step * 2.0, 1e6)
-        # the rows still searching, compacted; each backtracking round keeps
-        # the accepted rows' trial and forward state for the gradient call
-        w_s, grad_s, step_s = w[idx], grad[idx], step[idx]
-        loss_s, gnorm_s = loss[idx], gnorm_sq[idx]
-        pieces = []
-        while idx.size:
-            w_try = w_s - step_s[:, None] * grad_s
+        accepted = np.zeros(len(w), dtype=bool)
+        while rows.size:
+            # a slice reads views of the whole stack; an index array copies
+            sel = slice(None) if rows.size == len(w) else rows
+            w_try = w[sel] - step[sel][:, None] * grad[sel]
             loss_try, hidden_try, z_try = batched_loss(arch, w_try, x, y, config.l2_alpha)
-            ok = np.isfinite(loss_try) & (loss_try <= loss_s - 1e-4 * step_s * gnorm_s)
-            if ok.all():
-                pieces.append((idx, w_try, loss_try, hidden_try, z_try))
-                break
-            if ok.any():
-                pieces.append((idx[ok], w_try[ok], loss_try[ok], hidden_try[ok], z_try[ok]))
-            rejected = np.flatnonzero(~ok)
-            step_s = step_s[rejected] * 0.5
-            step[idx[rejected]] = step_s
-            exhausted = step_s < 1e-14
-            active[idx[rejected[exhausted]]] = False  # no descent step: converged
-            keep = rejected[~exhausted]
-            idx, step_s = idx[keep], step_s[~exhausted]
-            w_s, grad_s, loss_s, gnorm_s = w_s[keep], grad_s[keep], loss_s[keep], gnorm_s[keep]
-        if not pieces:
+            ok = np.isfinite(loss_try) & (loss_try <= loss[sel] - 1e-4 * step[sel] * gnorm_sq[sel])
+            acc = rows[ok]
+            w[acc], loss[acc], hidden[acc], z[acc] = (
+                w_try[ok], loss_try[ok], hidden_try[ok], z_try[ok])
+            accepted[acc] = True
+            rows = rows[~ok]
+            step[rows] *= 0.5
+            exhausted = step[rows] < 1e-14
+            active[rows[exhausted]] = False  # no descent step: converged
+            rows = rows[~exhausted]
+        stepped = np.flatnonzero(accepted)
+        if stepped.size == 0:
             continue
-        rows, w_acc, loss_acc, hidden_acc, z_acc = (
-            pieces[0] if len(pieces) == 1
-            else tuple(np.concatenate(part) for part in zip(*pieces))
-        )
-        w[rows] = w_acc
+        sel = slice(None) if stepped.size == len(w) else stepped
         loss_new, grad_new = batched_loss_and_grad(
-            arch, w_acc, x, y, config.l2_alpha, forward=(loss_acc, hidden_acc, z_acc)
+            arch, w[sel], x, y, config.l2_alpha, forward=(loss[sel], hidden[sel], z[sel])
         )
         gnorm_new = np.sum(grad_new * grad_new, axis=1)
-        loss[rows], grad[rows], gnorm_sq[rows] = loss_new, grad_new, gnorm_new
-        bad = rows[~(np.isfinite(loss_new) & np.isfinite(gnorm_new))]
+        grad[sel], gnorm_sq[sel] = grad_new, gnorm_new
+        bad = stepped[~(np.isfinite(loss_new) & np.isfinite(gnorm_new))]
         diverged[bad] = True
         active[bad] = False
     return w, diverged

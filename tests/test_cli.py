@@ -252,6 +252,17 @@ def test_evaluate_missing_dataset(capsys):
     assert code == 1
 
 
+def test_empty_label_exits_1(xor_csv, tmp_path, capsys):
+    path = tmp_path / "blank.csv"
+    lines = Path(xor_csv).read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ","
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "evaluate", str(path), "--hidden", "1", "--samples", "2")
+    assert code == 1
+    assert err == f"error: {path}:4: empty label\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("kind, data, lineno", [
     ("csv", b"f1,f2,label\n0,1,a\n\xff,2,b\n", 3),
     ("memory", b"01\r\n1\xe90\n", 2),
@@ -565,6 +576,7 @@ def test_bad_output_path_rejected_before_loading(
         (str(tmp_path / "missing" / "x"), f"directory {tmp_path / 'missing'} does not exist"),
         (str(a_file / "x"), f"{a_file} is not a directory"),
         (str(tmp_path), f"{tmp_path} is a directory"),
+        ("", "empty path"),
     ]
     before = sorted(tmp_path.iterdir())
     for flag in flags:

@@ -80,6 +80,14 @@ def test_load_reports_short_row(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("row", ["0.69,-0.75,", "0.69,-0.75,  ", '0.69,-0.75,""'])
+def test_load_rejects_empty_label(tmp_path, row):
+    # a blank label would otherwise become a class of its own
+    path = write(tmp_path, f"f1,f2,label\n1,2,0\n3,4,1\n{row}\n5,6,0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: empty label")):
+        load_csv(path)
+
+
 def test_roundtrip(tmp_path):
     original = make_synthetic("two_gaussians", 40, 0.5, seed=2)
     path = tmp_path / "round.csv"

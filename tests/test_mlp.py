@@ -675,18 +675,57 @@ def _training_problem(output_dim, activation, rows):
     return arch, x, y, stack
 
 
-@pytest.mark.parametrize(
-    "output_dim, activation",
-    [(1, "logistic"), (3, "tanh"), (1, "relu"), (5, "logistic"), (7, "relu")],
-)
-def test_train_batch_matches_reference_trainer(output_dim, activation):
+REFERENCE_CASES = [(1, "logistic"), (3, "tanh"), (1, "relu"), (5, "logistic"), (7, "relu")]
+KERNELS = ("batched_loss", "batched_loss_and_grad")
+
+
+def _recording_kernels(monkeypatch):
+    """Wrap both kernels; the stack size of each call, in call order, per kernel."""
+    sizes = {name: [] for name in KERNELS}
+    for name in KERNELS:
+        def recording(arch, w, *args, _kernel=getattr(mlp, name), _sizes=sizes[name], **kwargs):
+            _sizes.append(len(w))
+            return _kernel(arch, w, *args, **kwargs)
+
+        monkeypatch.setattr(mlp, name, recording)
+    return sizes
+
+
+@pytest.mark.parametrize("output_dim, activation", REFERENCE_CASES)
+def test_train_batch_matches_reference_trainer(output_dim, activation, monkeypatch):
     arch, x, y, stack = _training_problem(output_dim, activation, rows=6)
+    original = stack.copy()
     cfg = TrainConfig(max_iter=150)
-    got_w, got_diverged = mlp.train_batch(arch, stack, x, y, cfg)
-    want_w, want_diverged = reference_train_batch(arch, stack, x, y, cfg)
+    with monkeypatch.context() as m:
+        got_sizes = _recording_kernels(m)
+        got_w, got_diverged = mlp.train_batch(arch, stack, x, y, cfg)
+    with monkeypatch.context() as m:
+        want_sizes = _recording_kernels(m)
+        want_w, want_diverged = reference_train_batch(arch, stack, x, y, cfg)
     assert np.array_equal(got_w, want_w)
     assert np.array_equal(got_diverged, want_diverged)
     assert not got_diverged.any()
+    # rows are written in place in a copy, never in the caller's stack
+    assert np.array_equal(stack, original)
+    # one trial call per backtracking round and one gradient call per
+    # iteration with accepted rows, each over the same rows as the reference
+    assert got_sizes == want_sizes
+
+
+def test_train_batch_kernels_see_whole_stacks_and_subsets(monkeypatch):
+    # train_batch selects the whole stack by a slice and fewer rows by an
+    # index array; across the reference cases each kernel takes both
+    seen = {name: set() for name in KERNELS}
+    for output_dim, activation in REFERENCE_CASES:
+        arch, x, y, stack = _training_problem(output_dim, activation, rows=6)
+        with monkeypatch.context() as m:
+            sizes = _recording_kernels(m)
+            mlp.train_batch(arch, stack, x, y, TrainConfig(max_iter=150))
+        for name in KERNELS:
+            seen[name].update(sizes[name])
+    for name in KERNELS:
+        assert len(stack) in seen[name], name
+        assert min(seen[name]) < len(stack), name
 
 
 def test_train_batch_matches_reference_trainer_with_diverging_rows(monkeypatch):
