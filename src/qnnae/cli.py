@@ -44,21 +44,21 @@ DEFAULTS = {
 def _load_config_file(path) -> dict:
     """key -> (value, line number) for the key=value lines of `path`."""
     values = {}
-    with dataio.open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in DEFAULTS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = type(DEFAULTS[key])(value.strip()), lineno
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    for lineno, line in dataio.content_lines(path):
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in DEFAULTS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        try:
+            values[key] = type(DEFAULTS[key])(value.strip()), lineno
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    if not values:
+        raise ValueError(f"{path}: no settings")
     return values
 
 
@@ -193,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "untrained, it checks the circuit's math but does not "
                              "rank architectures")
     p_eval.add_argument("--levels",
-                        help="comma-separated grid levels (exhaustive mode; default -1,0,1)")
+                        help="comma-separated grid levels (exhaustive mode; default "
+                             f"{','.join(f'{v:g}' for v in evaluate.DEFAULT_GRID_LEVELS)})")
     p_eval.add_argument("--budget", type=int,
                         help=f"max grid points (default {DEFAULTS['budget']})")
     p_eval.add_argument("--train-grid", action="store_true",
@@ -271,7 +272,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.hidden < 1:
         raise ValueError(f"--hidden must be >= 1, got {args.hidden}")
     if args.exhaustive:
-        levels = _parse_levels("-1,0,1" if args.levels is None else args.levels)
+        levels = (evaluate.DEFAULT_GRID_LEVELS if args.levels is None
+                  else _parse_levels(args.levels))
         if args.samples is not None:
             raise ValueError("--samples has no effect with --exhaustive")
     else:

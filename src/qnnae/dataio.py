@@ -1,16 +1,18 @@
 """Dataset loading, deterministic train/validation splitting, synthetic generators.
 
-CSV schema: UTF-8, comma separated, header `f1,...,fk,label`.  Labels may be any
-non-empty tokens; they are mapped to dense integers in order of first appearance
-and the mapping is kept on the Dataset.
+CSV schema: UTF-8, comma separated, header `f1,...,fk,label` of unique,
+non-empty column names.  Labels may be any non-empty tokens; they are mapped to
+dense integers in order of first appearance and the mapping is kept on the
+Dataset.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -85,9 +87,16 @@ class SplitSpec:
 
 def open_text(path, newline=None) -> io.StringIO:
     """The UTF-8 text of `path`, split into lines as `open(path, encoding="utf-8",
-    newline=newline)` would; bytes that are not UTF-8 are reported by line number."""
+    newline=newline)` would; bytes that are not UTF-8 are reported by line number.
+
+    One leading byte-order mark is dropped before decoding, so that the
+    decoder's error offsets, and the line numbers read from them, count from
+    the text itself.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8):]
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -95,6 +104,16 @@ def open_text(path, newline=None) -> io.StringIO:
         line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
         raise ValueError(f"{path}:{line}: not UTF-8 text") from None
     return io.StringIO(text, newline=newline)
+
+
+def content_lines(path) -> Iterator[Tuple[int, str]]:
+    """(line number, text) of each line of `path` that has content: the text
+    before any `#`, stripped, and skipped when empty.  Numbers count from 1."""
+    with open_text(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, line
 
 
 def load_csv(path) -> Dataset:
@@ -112,12 +131,19 @@ def load_csv(path) -> Dataset:
         feature_cols = [i for i in range(len(header)) if i != label_col]
         if not feature_cols:
             raise ValueError(f"{path}: header has no feature columns")
-        # messages name columns, so a name must print on one line
-        for i in feature_cols:
-            if not header[i].isprintable():
-                raise ValueError(
-                    f"{path}:{reader.line_num}: column name {header[i]!r} does not print"
-                )
+        # messages name columns, so a name must be non-empty, unique and
+        # print on one line; a repeated `label` would also leave its copies
+        # among the features
+        where = f"{path}:{reader.line_num}"
+        seen = set()
+        for i, name in enumerate(header, start=1):
+            if not name:
+                raise ValueError(f"{where}: column {i} has no name")
+            if not name.isprintable():
+                raise ValueError(f"{where}: column name {name!r} does not print")
+            if name in seen:
+                raise ValueError(f"{where}: repeated column name {name!r}")
+            seen.add(name)
 
         rows: List[List[float]] = []
         raw_labels: List[str] = []

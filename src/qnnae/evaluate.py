@@ -28,6 +28,7 @@ from .pqm import BitString
 
 DEFAULT_NUM_SAMPLES = 1000
 DEFAULT_GRID_BUDGET = 3**12
+DEFAULT_GRID_LEVELS = (-1.0, 0.0, 1.0)
 DEFAULT_HIDDEN_RANGE = (1, 20)
 # models trained together per vectorized chunk
 TRAIN_CHUNK = 64

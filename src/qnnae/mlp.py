@@ -406,11 +406,11 @@ def train_batch(
     z = np.empty((len(w), len(x), arch.output_dim))
     for _ in range(config.max_iter):
         active &= np.sqrt(gnorm_sq) >= config.tolerance
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
+        searching = np.flatnonzero(active)
+        if searching.size == 0:
             break
         step = np.minimum(step * 2.0, 1e6)
-        accepted = np.zeros(len(w), dtype=bool)
+        rows = searching
         while rows.size:
             # a slice reads views of the whole stack; an index array copies
             sel = slice(None) if rows.size == len(w) else rows
@@ -420,22 +420,23 @@ def train_batch(
             acc = rows[ok]
             w[acc], loss[acc], hidden[acc], z[acc] = (
                 w_try[ok], loss_try[ok], hidden_try[ok], z_try[ok])
-            accepted[acc] = True
             rows = rows[~ok]
             step[rows] *= 0.5
             exhausted = step[rows] < 1e-14
             active[rows[exhausted]] = False  # no descent step: converged
             rows = rows[~exhausted]
-        stepped = np.flatnonzero(accepted)
+        # a searching row still active took a step; its loss passed the
+        # finite Armijo test, so only its gradient can diverge
+        stepped = searching[active[searching]]
         if stepped.size == 0:
             continue
         sel = slice(None) if stepped.size == len(w) else stepped
-        loss_new, grad_new = batched_loss_and_grad(
+        _, grad_new = batched_loss_and_grad(
             arch, w[sel], x, y, config.l2_alpha, forward=(loss[sel], hidden[sel], z[sel])
         )
         gnorm_new = np.sum(grad_new * grad_new, axis=1)
         grad[sel], gnorm_sq[sel] = grad_new, gnorm_new
-        bad = stepped[~(np.isfinite(loss_new) & np.isfinite(gnorm_new))]
+        bad = stepped[~np.isfinite(gnorm_new)]
         diverged[bad] = True
         active[bad] = False
     return w, diverged

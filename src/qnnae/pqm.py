@@ -97,21 +97,17 @@ class PatternMemory:
     def from_file(cls, path) -> "PatternMemory":
         """One bit string per line; blank lines and `#` comments are skipped."""
         strings = []
-        with dataio.open_text(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    pattern = BitString.from_string(line)
-                    if strings and len(pattern) != len(strings[0]):
-                        raise ValueError(
-                            f"all patterns must have length {len(strings[0])}, "
-                            f"got {len(pattern)} ({pattern})"
-                        )
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
-                strings.append(pattern)
+        for lineno, line in dataio.content_lines(path):
+            try:
+                pattern = BitString.from_string(line)
+                if strings and len(pattern) != len(strings[0]):
+                    raise ValueError(
+                        f"all patterns must have length {len(strings[0])}, "
+                        f"got {len(pattern)} ({pattern})"
+                    )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            strings.append(pattern)
         if not strings:
             raise ValueError(f"{path}: no patterns")
         return cls(strings)

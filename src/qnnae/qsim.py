@@ -174,7 +174,7 @@ def apply_phase(
 def measure_qubit(state: StateVector, q: int, rng: RngLike) -> Tuple[int, StateVector]:
     """Projectively measure qubit q; collapses and renormalizes in place."""
     _check_qubit(state, q)
-    gen = np.random.default_rng(rng) if isinstance(rng, (int, np.integer)) else rng
+    gen = np.random.default_rng(rng)
     halves = _halves(state.amplitudes, q)
     p1 = _sum_sq(halves[:, 1])
     outcome = 1 if gen.random() < p1 else 0

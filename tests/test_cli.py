@@ -267,7 +267,8 @@ def test_empty_label_exits_1(xor_csv, tmp_path, capsys):
     ("csv", b"f1,f2,label\n0,1,a\n\xff,2,b\n", 3),
     ("memory", b"01\r\n1\xe90\n", 2),
     ("config", b"seed=1\r# caf\xe9\nsamples=2\n", 2),
-], ids=["csv", "memory", "config"])
+    ("memory", b"\xef\xbb\xbf01\n\xff1\n", 2),  # the line count starts after the mark
+], ids=["csv", "memory", "config", "memory-marked"])
 def test_non_utf8_input_names_file_and_line(xor_csv, tmp_path, capsys, kind, data, lineno):
     path = tmp_path / f"bad.{kind}"
     path.write_bytes(data)
@@ -280,6 +281,40 @@ def test_non_utf8_input_names_file_and_line(xor_csv, tmp_path, capsys, kind, dat
     assert code == 1
     assert err == f"error: {path}:{lineno}: not UTF-8 text\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("csv", "f1,f2,label\n" + "".join(f"{i % 2},{i // 2 % 2},{i % 2 ^ i // 2 % 2}\n"
+                                       for i in range(40))),
+    ("csv", "label,f1,f2\n" + "".join(f"{i % 2 ^ i // 2 % 2},{i % 2},{i // 2 % 2}\n"
+                                       for i in range(40))),
+    ("memory", "0110\n1010\n"),
+    ("config", "seed=1\nsamples=2\n"),
+], ids=["csv", "csv-label-first", "memory", "config"])
+def test_byte_order_mark_changes_nothing(xor_csv, tmp_path, capsys, kind, text):
+    results = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        path = tmp_path / f"input.{kind}"
+        path.write_bytes(mark + text.encode())
+        argv = {
+            "csv": ["evaluate", str(path), "--hidden", "1", "--samples", "2", "--max-iter", "5"],
+            "memory": ["pqm", str(path), "0111"],
+            "config": ["evaluate", xor_csv, "--hidden", "1", "--config", str(path),
+                       "--max-iter", "5"],
+        }[kind]
+        results.append(run(capsys, *argv))
+    assert results[0][0] == 0 and results[0][2] == ""
+    assert results[1] == results[0]
+
+
+def test_repeated_label_column_exits_1(tmp_path, capsys):
+    # the second `label` would be trained on as a feature and score 1.0
+    path = tmp_path / "leak.csv"
+    path.write_text("f1,label,label\n" + "".join(f"{i % 3},{i % 2},{i % 2}\n"
+                                                  for i in range(24)))
+    code, out, err = run(capsys, "evaluate", str(path), "--hidden", "1", "--samples", "4")
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}:1: repeated column name 'label'\n"
 
 
 def test_out_of_memory_is_a_resource_error(xor_csv, capsys, monkeypatch):
@@ -374,6 +409,7 @@ def test_config_file_bad_key(xor_csv, tmp_path, capsys):
         ("warp_speed=9\n", 1),
         ("seed=3\nsamples=abc\n", 2),
         ("max_iter=2.5\n", 1),
+        ("seed=1\n# again\nseed=2\n", 3),  # the second setting, not a silent override
         ("seed=3\nactivation=softplus\n", 2),
     )
     for text, lineno in cases:
@@ -383,6 +419,32 @@ def test_config_file_bad_key(xor_csv, tmp_path, capsys):
         assert f"{config}:{lineno}:" in err
         assert out == ""
     assert "bad value for activation" in err and "'softplus'" in err
+
+
+@pytest.mark.parametrize("text, lineno", [
+    (b"# head\r\n\r\n \t \r\n01=1  # note\r\n", 4),
+    (b"\r\n#\r\n  x  #\r\n", 3),
+    (b"\n\r\r\n2#\n", 4),  # a lone \r ends a line too
+])
+def test_config_and_memory_files_share_one_line_format(tmp_path, text, lineno):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(text)
+    with pytest.raises(ValueError) as config_error:
+        cli._load_config_file(path)
+    with pytest.raises(ValueError) as memory_error:
+        pqm.PatternMemory.from_file(path)
+    for error in (config_error, memory_error):
+        assert str(error.value).startswith(f"{path}:{lineno}: ")
+
+
+@pytest.mark.parametrize("text", [b"", b"# only a comment\r\n \t \r\n\n", b"\xef\xbb\xbf#\n"])
+def test_config_and_memory_files_without_content_are_refused(tmp_path, text):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: no settings")):
+        cli._load_config_file(path)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: no patterns")):
+        pqm.PatternMemory.from_file(path)
 
 
 @pytest.mark.parametrize(

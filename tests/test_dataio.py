@@ -74,6 +74,30 @@ def test_load_rejects_column_names_that_do_not_print(tmp_path, header, lineno):
         load_csv(path)
 
 
+@pytest.mark.parametrize("header, message", [
+    ("f1,label,label\n", "repeated column name 'label'"),  # the copy would be a feature
+    ("f1, f1 ,label\n", "repeated column name 'f1'"),
+    (",f2,label\n", "column 1 has no name"),
+    ("f1,f2,label,\n", "column 4 has no name"),
+])
+def test_load_rejects_repeated_or_empty_column_names(tmp_path, header, message):
+    path = write(tmp_path, header + "1,2,a,a\n3,4,b,b\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: {message}")):
+        load_csv(path)
+
+
+def test_open_text_drops_one_byte_order_mark(tmp_path):
+    path = tmp_path / "marked.txt"
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfa\r\nb\n")
+    assert dataio.open_text(path).read() == "\ufeffa\nb\n"
+
+
+def test_content_lines(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(b"\xef\xbb\xbf# head\r\n\r\n \t \r\n a = 1 # note\r\nb\rc#\n#\n")
+    assert list(dataio.content_lines(path)) == [(4, "a = 1"), (5, "b"), (6, "c")]
+
+
 def test_load_reports_short_row(tmp_path):
     path = write(tmp_path, "f1,f2,label\n1,2,a\n3,b\n")
     with pytest.raises(ValueError, match="3"):
