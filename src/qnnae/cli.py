@@ -123,15 +123,25 @@ def _resolve(args: argparse.Namespace, unread: Tuple[str, ...]) -> Tuple[dict, T
     return cfg, train_cfg, split_spec
 
 
-def _check_output_path(flag: str, path: Optional[str]) -> None:
+def _check_output_path(flag: str, path: Optional[str],
+                       others: Tuple[Tuple[str, Optional[str]], ...] = ()) -> None:
     """Reject an output path that cannot be opened for writing, before any work.
 
-    Only None means "not given"; an empty path is an error.
+    Only None means "not given"; an empty path is an error.  `others` holds
+    (flag, path) for the command's other files, read or written; an output
+    that resolves to one of them, or is a hard link to it, would destroy it,
+    so it is an error too.
     """
     if path is None:
         return
     if not path:
         raise ValueError(f"{flag}: empty path")
+    for other_flag, other in others:
+        if other is None:
+            continue
+        if os.path.realpath(other) == os.path.realpath(path) or (
+                os.path.exists(other) and os.path.exists(path) and os.path.samefile(other, path)):
+            raise ValueError(f"{flag} and {other_flag} name the same file: {path}")
     if os.path.isdir(path):
         raise ValueError(f"{flag}: {path} is a directory")
     directory = os.path.dirname(path) or "."
@@ -141,6 +151,11 @@ def _check_output_path(flag: str, path: Optional[str]) -> None:
         raise ValueError(f"{flag}: {directory} is not a directory")
     if not os.access(directory, os.W_OK):
         raise ValueError(f"{flag}: directory {directory} is not writable")
+
+
+def _input_files(args: argparse.Namespace) -> Tuple[Tuple[str, Optional[str]], ...]:
+    """(name, path) of the files `evaluate` and `sweep` read."""
+    return ("dataset", args.dataset), ("--config", args.config)
 
 
 def _config_summary(cfg: dict) -> str:
@@ -282,7 +297,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                             ("--budget", args.budget is not None)):
             if given:
                 raise ValueError(f"{flag} needs --exhaustive")
-    _check_output_path("--out", args.out)
+    _check_output_path("--out", args.out, _input_files(args))
     if args.show_config:
         print(_config_summary(cfg))
         return EXIT_OK
@@ -306,8 +321,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     args.hidden_lo, args.hidden_hi = args.hidden_range or (None, None)
     cfg, train_cfg, split_spec = _resolve(args, ("budget",))
-    _check_output_path("--out", args.out)
-    _check_output_path("--plot", args.plot)
+    _check_output_path("--out", args.out, _input_files(args))
+    _check_output_path("--plot", args.plot, (*_input_files(args), ("--out", args.out)))
     if args.show_config:
         print(_config_summary(cfg))
         return EXIT_OK

@@ -289,8 +289,8 @@ def retrieve_circuit(
     taken from `state`, which is only read).  A shot reads only the control
     qubit, so its marginal is read once from the state into a 1-qubit state
     with amplitudes [sqrt(p0), sqrt(p1)], and each shot measures a fresh copy
-    of that marginal in one reused 2-amplitude scratch state.  Shot i uses
-    seed rng_seed + i, making results independent of execution order.
+    of that marginal in one reused 2-amplitude scratch state.  All shots share
+    one generator, so shot i reads the i-th draw of default_rng(rng_seed).
 
     The marginal is left unnormalized, so each shot compares its draw with
     p1' = fl(sqrt(p1)**2), which is p1 or 1 ulp away from it.  A draw is a
@@ -305,9 +305,10 @@ def retrieve_circuit(
     marginal = qsim.StateVector(1, [math.sqrt(state.probability(control, value))
                                     for value in (0, 1)])
     scratch = marginal.copy()
+    gen = np.random.default_rng(rng_seed)
     counts = {0: 0, 1: 0}
-    for shot in range(shots):
+    for _ in range(shots):
         np.copyto(scratch.amplitudes, marginal.amplitudes)
-        outcome, _ = qsim.measure_qubit(scratch, 0, rng_seed + shot)
+        outcome = qsim.measure_qubit(scratch, 0, gen)[0]
         counts[outcome] += 1
     return RetrievalOutcome(counts[0] / shots, counts[1] / shots), counts

@@ -172,7 +172,12 @@ def apply_phase(
 
 
 def measure_qubit(state: StateVector, q: int, rng: RngLike) -> Tuple[int, StateVector]:
-    """Projectively measure qubit q; collapses and renormalizes in place."""
+    """Projectively measure qubit q; collapses and renormalizes in place.
+
+    Reads exactly one `random()` double: from `rng` itself if it is a
+    Generator, which advances by that one draw, or from a fresh generator
+    seeded with it.
+    """
     _check_qubit(state, q)
     gen = np.random.default_rng(rng)
     halves = _halves(state.amplitudes, q)

@@ -102,19 +102,21 @@ def test_pqm_parse_error_line_number(tmp_path, capsys):
     assert f"{path}: no patterns" in err
 
 
-# recorded from `qnnae pqm` before the qsim kernels moved to block views and
-# the retrieval circuit fused each CNOT+X pair; a change to any kernel's bits
-# moves the circuit p0, the difference or the shot counts
+# the p0 and circuit lines were recorded before the qsim kernels moved to block
+# views and the retrieval circuit fused each CNOT+X pair, the shot line when
+# every shot came to read one generator stream; a change to any kernel's bits
+# moves the circuit p0, the difference or the shot counts, and a change to the
+# shot stream (which draw of default_rng(seed) shot i reads) moves the counts
 PQM_GOLDEN = [
     (["011010", "110001", "011010", "101111", "000100"], "101101",
      "p0=0.413397 p1=0.586603\n"
      "circuit_p0=0.413397 circuit_p1=0.586603 difference=5.551e-17\n"
-     "shots=300 freq0=0.486667 counts0=146 counts1=154\n"),
+     "shots=300 freq0=0.423333 counts0=127 counts1=173\n"),
     (["10110010", "01101101", "11110000", "00011011", "10101010", "01010101",
       "11001100"], "10011010",
      "p0=0.535024 p1=0.464976\n"
      "circuit_p0=0.535024 circuit_p1=0.464976 difference=0.000e+00\n"
-     "shots=300 freq0=0.630000 counts0=189 counts1=111\n"),
+     "shots=300 freq0=0.566667 counts0=170 counts1=130\n"),
 ]
 
 
@@ -357,7 +359,12 @@ GOLDEN_PATTERNS, GOLDEN_PROBE, GOLDEN_OUT = PQM_GOLDEN[0]
     ({}, ["evaluate", "xor.csv", "--hidden", "abc"], 2, "",
      r"usage: qnnae evaluate .*\nqnnae evaluate: error: argument --hidden: "
      r"invalid int value: 'abc'\n"),
-], ids=["pqm-golden", "multiline-csv", "far-over-budget", "all-diverged", "malformed-flag"])
+    ({"same.out": "kept\n"},
+     ["sweep", "xor.csv", "--hidden-range", "1", "2", "--samples", "2", "--max-iter", "5",
+      "--out", "same.out", "--plot", "same.out"],
+     1, "", re.escape("error: --plot and --out name the same file: same.out\n")),
+], ids=["pqm-golden", "multiline-csv", "far-over-budget", "all-diverged", "malformed-flag",
+        "same-out-and-plot"])
 def test_module_run_exit_code_stdout_and_stderr(xor_csv, tmp_path, files, argv, code,
                                                 stdout, stderr):
     # a real process: what reaches the streams and the exit status, with no
@@ -372,6 +379,8 @@ def test_module_run_exit_code_stdout_and_stderr(xor_csv, tmp_path, files, argv, 
     assert result.returncode == code
     assert result.stdout == stdout
     assert re.fullmatch(stderr, result.stderr, re.DOTALL), result.stderr
+    for name, text in files.items():
+        assert (tmp_path / name).read_text() == text
 
 
 def test_show_config_reports_defaults(xor_csv, capsys):
@@ -663,6 +672,48 @@ def test_bad_output_path_rejected_before_loading(
             assert f"error: {flag}: directory {tmp_path} is not writable" in err
             assert out == ""
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command, flag, other", [
+    ("sweep", "--out", "dataset"),
+    ("sweep", "--out", "--config"),
+    ("sweep", "--plot", "dataset"),
+    ("sweep", "--plot", "--config"),
+    ("sweep", "--plot", "--out"),
+    ("evaluate", "--out", "dataset"),
+    ("evaluate", "--out", "--config"),
+])
+def test_output_naming_another_file_of_the_command_exits_1(
+    xor_csv, tmp_path, capsys, monkeypatch, command, flag, other
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("loaded the dataset")
+
+    monkeypatch.setattr(dataio, "load_csv", fail)
+    config = tmp_path / "run.cfg"
+    config.write_text("samples=2\nmax_iter=5\n")
+    report = tmp_path / "report.csv"
+    report.write_text("an earlier report\n")
+    paths = {"dataset": xor_csv, "--config": str(config), "--out": str(report)}
+    link, hard_link = tmp_path / "link", tmp_path / "hard_link"
+    link.symlink_to(paths[other])
+    hard_link.hardlink_to(paths[other])
+    hidden = ["--hidden-range", "1", "2"] if command == "sweep" else ["--hidden", "1"]
+    head = [command, xor_csv, *hidden, "--config", str(config)]
+    if other == "--out":
+        head += ["--out", paths["--out"]]
+    before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    # the same spelling, another spelling, a symlink and a hard link all name one file
+    spellings = [paths[other], os.path.join(os.path.dirname(paths[other]), ".",
+                                            os.path.basename(paths[other])),
+                 str(link), str(hard_link)]
+    for target in spellings:
+        for show in ([], ["--show-config"]):
+            code, out, err = run(capsys, *head, flag, target, *show)
+            assert code == 1
+            assert err == f"error: {flag} and {other} name the same file: {target}\n"
+            assert out == ""
+    assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
 
 
 @pytest.mark.parametrize("value", ["-1", "-2"])

@@ -197,19 +197,26 @@ def random_memory(rng, n):
     return PatternMemory(BitString(p) for p in patterns), BitString(rng.integers(0, 2, n))
 
 
+@pytest.mark.parametrize("shots", [1, 60, 301])
 @pytest.mark.parametrize("n", range(1, 9))
-def test_shots_match_one_copy_per_shot(n):
+def test_shots_read_one_generator_stream(n, shots):
+    """Shot i reads the i-th double of default_rng(seed) against the marginal's
+    p1' = fl(sqrt(p1)**2): the counts are exactly the tally of those draws, and
+    the same as measuring a copy of the whole state per shot from that stream."""
     rng = np.random.default_rng(n)
     for trial in range(4 if n <= 5 else 2):
         memory, probe = random_memory(rng, n)
         seed = int(rng.integers(0, 1000))
         state = retrieval_state(memory, probe)
-        expected = {0: 0, 1: 0}
-        for i in range(60):
-            outcome, _ = qsim.measure_qubit(state.copy(), 2 * n, seed + i)
-            expected[outcome] += 1
-        _, counts = retrieve_circuit(memory, probe, 60, seed)
+        p1 = state.probability(2 * n, 1)
+        ones = int(np.count_nonzero(np.random.default_rng(seed).random(shots) < math.sqrt(p1) ** 2))
+        expected = {0: shots - ones, 1: ones}
+        gen = np.random.default_rng(seed)
+        copies = [qsim.measure_qubit(state.copy(), 2 * n, gen)[0] for _ in range(shots)]
+        assert {0: copies.count(0), 1: copies.count(1)} == expected
+        out, counts = retrieve_circuit(memory, probe, shots, seed)
         assert counts == expected
+        assert (out.p0, out.p1) == (expected[0] / shots, expected[1] / shots)
 
 
 def test_shots_trace_less_than_one_state_copy():

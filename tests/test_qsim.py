@@ -217,6 +217,28 @@ def test_measure_plus_state_frequency():
     assert abs(zeros / shots - 0.5) <= 4 * sigma
 
 
+def test_measure_draws_one_double_per_call():
+    """A given Generator advances by exactly one random() double per call, so
+    calls that share it read consecutive draws of its stream (the shots of
+    pqm.retrieve_circuit do); an int seed builds a fresh generator each call."""
+    for seed in range(20):
+        gen, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for q in range(3):
+            state = random_state(3, 10 * seed + q)
+            p1 = state.probability(q, 1)
+            outcome, _ = measure_qubit(state, q, gen)
+            assert outcome == int(reference.random() < p1)
+            assert gen.bit_generator.state == reference.bit_generator.state
+    plus = apply_hadamard(StateVector(1), 0)
+    outcomes = set()
+    for seed in range(20):
+        expected = int(np.random.default_rng(seed).random() < plus.probability(0, 1))
+        for _ in range(2):
+            assert measure_qubit(plus.copy(), 0, seed)[0] == expected
+        outcomes.add(expected)
+    assert outcomes == {0, 1}
+
+
 def test_measure_collapses_and_renormalizes():
     state = apply_hadamard(StateVector(2), 0)
     outcome, post = measure_qubit(state, 0, 3)
