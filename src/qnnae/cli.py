@@ -26,11 +26,10 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_RESOURCE_ERROR = 2
 
+_TRAIN_CONFIG_FIELDS = {"alpha": "l2_alpha", "max_iter": "max_iter",
+                        "learning_rate": "learning_rate", "tolerance": "tolerance"}
 DEFAULTS = {
-    "alpha": TrainConfig.l2_alpha,
-    "max_iter": TrainConfig.max_iter,
-    "learning_rate": TrainConfig.learning_rate,
-    "tolerance": TrainConfig.tolerance,
+    **{key: getattr(TrainConfig, field) for key, field in _TRAIN_CONFIG_FIELDS.items()},
     "samples": evaluate.DEFAULT_NUM_SAMPLES,
     "seed": 0,
     "train_fraction": dataio.SplitSpec.train_fraction,
@@ -70,8 +69,8 @@ def _check_setting(key: str, value) -> None:
     # after the input is read, and without naming the flag
     if key == "seed" and value < 0:
         raise ValueError(f"seed must be >= 0, got {value}")
-    if key in ("alpha", "max_iter", "learning_rate", "tolerance"):
-        TrainConfig(**{"l2_alpha" if key == "alpha" else key: value})
+    if key in _TRAIN_CONFIG_FIELDS:
+        TrainConfig(**{_TRAIN_CONFIG_FIELDS[key]: value})
     if key == "train_fraction":
         dataio.SplitSpec(value)
     if key == "activation" and value not in ACTIVATIONS:
@@ -117,8 +116,7 @@ def _resolve(args: argparse.Namespace, unread: Tuple[str, ...]) -> Tuple[dict, T
             key = "hidden_hi" if "hidden_hi" in in_file and cfg["hidden_lo"] >= 1 else "hidden_lo"
             where = f"{args.config}:{from_file[key][1]}"
             raise ValueError(f"{where}: bad value for {key}: {exc}") from exc
-    train_cfg = TrainConfig(max_iter=cfg["max_iter"], l2_alpha=cfg["alpha"],
-                            learning_rate=cfg["learning_rate"], tolerance=cfg["tolerance"])
+    train_cfg = TrainConfig(**{field: cfg[key] for key, field in _TRAIN_CONFIG_FIELDS.items()})
     split_spec = dataio.SplitSpec(cfg["train_fraction"], cfg["seed"])
     return cfg, train_cfg, split_spec
 
@@ -198,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pqm.add_argument("--shots", type=int, help="also estimate by sampling")
     p_pqm.add_argument("--circuit", action="store_true",
                        help="also run the state-vector circuit and print the difference")
-    p_pqm.add_argument("--seed", type=int, default=0)
+    p_pqm.add_argument("--seed", type=int, default=DEFAULTS["seed"])
 
     p_eval = sub.add_parser("evaluate", help="score one architecture")
     p_eval.add_argument("dataset", help="CSV dataset (f1,...,fk,label header)")
@@ -230,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("kind", choices=dataio.SYNTHETIC_KINDS)
     p_synth.add_argument("--n", type=int, default=400)
     p_synth.add_argument("--noise", type=float, default=0.2)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     p_synth.add_argument("--out", required=True)
 
     return parser
@@ -278,7 +276,7 @@ def _write_reports(reports: List[evaluate.ArchitectureReport], out: Optional[str
     if out is not None:
         evaluate.write_reports_csv(reports, out)
     else:
-        print("\n".join([evaluate.REPORT_CSV_HEADER, *map(evaluate.report_csv_row, reports)]))
+        sys.stdout.write(evaluate.report_csv(reports))
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:

@@ -339,9 +339,12 @@ def report_csv_row(report: ArchitectureReport) -> str:
     return ",".join(fields)
 
 
+def report_csv(reports: Sequence[ArchitectureReport]) -> str:
+    """The report CSV text: the header, then one line per report."""
+    return "".join(f"{line}\n" for line in [REPORT_CSV_HEADER, *map(report_csv_row, reports)])
+
+
 def write_reports_csv(reports: Sequence[ArchitectureReport], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(REPORT_CSV_HEADER + "\n")
-        for report in reports:
-            fh.write(report_csv_row(report) + "\n")
+        fh.write(report_csv(reports))
 

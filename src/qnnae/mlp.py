@@ -112,11 +112,11 @@ def _feature_statistics(
 def init_weights(arch: MlpArchitecture, rng_seed: int | np.random.SeedSequence) -> np.ndarray:
     """Glorot uniform draw on [-r, r] per layer; `rng_seed` is an int or a SeedSequence."""
     rng = np.random.default_rng(rng_seed)
-    r1 = math.sqrt(6.0 / (arch.input_dim + arch.hidden_neurons))
-    r2 = math.sqrt(6.0 / (arch.hidden_neurons + arch.output_dim))
-    w1 = rng.uniform(-r1, r1, size=(arch.input_dim + 1) * arch.hidden_neurons)
-    w2 = rng.uniform(-r2, r2, size=(arch.hidden_neurons + 1) * arch.output_dim)
-    return np.concatenate([w1, w2])
+    w = np.empty((1, arch.weight_count))
+    for layer in _batched_unpack(arch, w):  # (1, fan_in + 1, fan_out), bias row last
+        r = math.sqrt(6.0 / (layer.shape[1] - 1 + layer.shape[2]))
+        layer[...] = rng.uniform(-r, r, size=layer.shape)
+    return w[0]
 
 
 def _activate(z: np.ndarray, activation: str, out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -71,6 +71,11 @@ def hamming_distance(a: BitString, b: BitString) -> int:
     return sum(x != y for x, y in zip(a, b))
 
 
+def _check_pattern_length(pattern: BitString, n: int) -> None:
+    if len(pattern) != n:
+        raise ValueError(f"all patterns must have length {n}, got {len(pattern)} ({pattern})")
+
+
 class PatternMemory:
     """Ordered multiset of equal-length bit patterns (duplicates allowed)."""
 
@@ -82,10 +87,7 @@ class PatternMemory:
             raise ValueError("pattern memory must not be empty")
         n = len(patterns[0])
         for p in patterns:
-            if len(p) != n:
-                raise ValueError(
-                    f"all patterns must have length {n}, got {len(p)} ({p})"
-                )
+            _check_pattern_length(p, n)
         self.patterns = patterns
         self.pattern_length = n
 
@@ -100,11 +102,8 @@ class PatternMemory:
         for lineno, line in dataio.content_lines(path):
             try:
                 pattern = BitString.from_string(line)
-                if strings and len(pattern) != len(strings[0]):
-                    raise ValueError(
-                        f"all patterns must have length {len(strings[0])}, "
-                        f"got {len(pattern)} ({pattern})"
-                    )
+                if strings:
+                    _check_pattern_length(pattern, len(strings[0]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             strings.append(pattern)
