@@ -65,6 +65,9 @@ def _check_setting(key: str, value) -> None:
     """Reject a value that `key` may not take, whatever the other settings are."""
     if key in ("threads", "samples", "budget") and value < 1:
         raise ValueError(f"{key} must be >= 1, got {value}")
+    # a grid is counted and sliced with index-sized integers
+    if key == "budget" and value > sys.maxsize:
+        raise ValueError(f"budget must be <= {sys.maxsize}, got {value}")
     # numpy rejects a negative seed only when the first generator is built,
     # after the input is read, and without naming the flag
     if key == "seed" and value < 0:
@@ -149,6 +152,8 @@ def _check_output_path(flag: str, path: Optional[str],
         raise ValueError(f"{flag}: {directory} is not a directory")
     if not os.access(directory, os.W_OK):
         raise ValueError(f"{flag}: directory {directory} is not writable")
+    if os.path.exists(path) and not os.access(path, os.W_OK):
+        raise ValueError(f"{flag}: {path} is not writable")
 
 
 def _input_files(args: argparse.Namespace) -> Tuple[Tuple[str, Optional[str]], ...]:

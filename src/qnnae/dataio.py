@@ -196,12 +196,13 @@ def load_csv(path) -> Dataset:
 
 
 def write_csv(ds: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        cols = [f"f{i + 1}" for i in range(ds.num_features)] + ["label"]
-        fh.write(",".join(cols) + "\n")
+    """The dataset in the schema `load_csv` reads, with its own column and
+    label names, quoted where they hold a comma, a quote or a newline."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([*ds.feature_names, "label"])
         for row, label in zip(ds.features, ds.labels):
-            fields = [repr(float(v)) for v in row] + [ds.label_names[label]]
-            fh.write(",".join(fields) + "\n")
+            writer.writerow([repr(float(v)) for v in row] + [ds.label_names[label]])
 
 
 def _train_quota(counts: np.ndarray, train_size: int) -> np.ndarray:

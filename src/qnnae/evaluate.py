@@ -16,6 +16,7 @@ copy of the retrieval formula, with each network's miss count as its distance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -266,7 +267,9 @@ def evaluate_exhaustive(
 ) -> ArchitectureReport:
     """Score every grid point, in the grid's product order.
 
-    The budget is checked before any point is made.
+    The budget is checked before any point is made.  A grid is counted and
+    sliced with index-sized integers, so no budget admits more than
+    sys.maxsize points.
     """
     if grid.weight_count != arch.weight_count:
         raise ValueError(
@@ -275,8 +278,9 @@ def evaluate_exhaustive(
     # with 2 or more levels, W weights give at least 2^W points, which exceeds
     # any budget of fewer than W bits: decided without computing the power
     num_levels, width = len(grid.levels), grid.weight_count
-    if (num_levels > 1 and width > grid.budget.bit_length()) or grid.num_points > grid.budget:
-        raise BudgetExceededError(num_levels, width, grid.budget)
+    budget = min(grid.budget, sys.maxsize)
+    if (num_levels > 1 and width > budget.bit_length()) or grid.num_points > budget:
+        raise BudgetExceededError(num_levels, width, budget)
     return evaluate_weight_list(arch, dataset, grid, train, train_cfg, split_spec, seed)
 
 

@@ -145,14 +145,16 @@ def test_evaluate_prints_report(xor_csv, capsys):
 
 def test_evaluate_writes_csv(xor_csv, tmp_path, capsys):
     out_path = tmp_path / "report.csv"
-    code, _, _ = run(
-        capsys, "evaluate", xor_csv, "--hidden", "2", "--samples", "4",
-        "--seed", "7", "--out", str(out_path),
-    )
+    argv = ["evaluate", xor_csv, "--hidden", "2", "--samples", "4", "--seed", "7"]
+    code, summary, _ = run(capsys, *argv, "--out", str(out_path))
     assert code == 0
     lines = out_path.read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("2,")
+    # without --out, stdout carries the summary line, then exactly the file's bytes
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == summary.encode() + out_path.read_bytes()
 
 
 def test_evaluate_deterministic_output(xor_csv, tmp_path, capsys):
@@ -340,6 +342,9 @@ def test_malformed_command_line_exits_2(xor_csv, capsys):
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# a grid budget past sys.maxsize: 2^149 points (--hidden 37 on xor) fit inside it
+HUGE_BUDGET = 2**200
+HUGE_BUDGET_ERROR = f"budget must be <= {sys.maxsize}, got {HUGE_BUDGET}"
 GOLDEN_PATTERNS, GOLDEN_PROBE, GOLDEN_OUT = PQM_GOLDEN[0]
 
 
@@ -363,8 +368,12 @@ GOLDEN_PATTERNS, GOLDEN_PROBE, GOLDEN_OUT = PQM_GOLDEN[0]
      ["sweep", "xor.csv", "--hidden-range", "1", "2", "--samples", "2", "--max-iter", "5",
       "--out", "same.out", "--plot", "same.out"],
      1, "", re.escape("error: --plot and --out name the same file: same.out\n")),
+    # len() of a grid past sys.maxsize points raised OverflowError, with a traceback
+    ({}, ["evaluate", "xor.csv", "--hidden", "37", "--exhaustive", "--levels=-1,1",
+          "--budget", str(HUGE_BUDGET)],
+     1, "", re.escape(f"error: {HUGE_BUDGET_ERROR}\n")),
 ], ids=["pqm-golden", "multiline-csv", "far-over-budget", "all-diverged", "malformed-flag",
-        "same-out-and-plot"])
+        "same-out-and-plot", "budget-above-maxsize"])
 def test_module_run_exit_code_stdout_and_stderr(xor_csv, tmp_path, files, argv, code,
                                                 stdout, stderr):
     # a real process: what reaches the streams and the exit status, with no
@@ -496,11 +505,13 @@ BAD_CONFIG_VALUES = [
     ("threads", "0", "threads must be >= 1, got 0"),
     ("budget", "0", "budget must be >= 1, got 0"),
     ("activation", "softplus", "must be one of ('logistic', 'tanh', 'relu'), got 'softplus'"),
+    ("budget", str(HUGE_BUDGET), HUGE_BUDGET_ERROR),
 ]
 
 
 @pytest.mark.parametrize("key, value, message", BAD_CONFIG_VALUES,
-                         ids=[key for key, _, _ in BAD_CONFIG_VALUES])
+                         ids=[f"{key}-above-maxsize" if value == str(HUGE_BUDGET) else key
+                              for key, value, _ in BAD_CONFIG_VALUES])
 def test_bad_config_value_names_its_file_and_line(
     xor_csv, tmp_path, capsys, monkeypatch, key, value, message
 ):
@@ -603,6 +614,10 @@ def test_bad_hidden_range_from_file_names_its_line(xor_csv, tmp_path, capsys, te
     (["--hidden", "1", "--samples", "2", "--budget", "5"], None, "--budget needs --exhaustive"),
     (["--hidden", "1", "--exhaustive", "--levels=-1,1", "--samples", "5"], None,
      "--samples has no effect with --exhaustive"),
+    (["--hidden", "37", "--exhaustive", "--levels=-1,1", "--budget", str(HUGE_BUDGET)], None,
+     HUGE_BUDGET_ERROR),
+    (["--hidden", "37", "--exhaustive", "--levels=-1,1"], f"budget={HUGE_BUDGET}\n",
+     HUGE_BUDGET_ERROR),
 ])
 def test_bad_evaluate_flags_rejected_before_loading(
     xor_csv, tmp_path, capsys, monkeypatch, flags, config_text, message
@@ -672,6 +687,18 @@ def test_bad_output_path_rejected_before_loading(
             assert f"error: {flag}: directory {tmp_path} is not writable" in err
             assert out == ""
     assert sorted(tmp_path.iterdir()) == before
+
+    # an existing file the process may not write to, in a writable directory
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: (
+        not (mode == cli.os.W_OK and path == str(a_file)) and real_access(path, mode)))
+    for flag in flags:
+        for show in shows:
+            code, out, err = run(capsys, *head, flag, str(a_file), *show)
+            assert code == 1
+            assert err == f"error: {flag}: {a_file} is not writable\n"
+            assert out == ""
+    assert sorted(tmp_path.iterdir()) == before
+    assert a_file.read_text() == ""
 
 
 @pytest.mark.parametrize("command, flag, other", [
@@ -801,12 +828,19 @@ def test_sweep_csv_and_plot(xor_csv, tmp_path, capsys):
         assert dataset in texts
 
 
-def test_sweep_stdout(xor_csv, capsys):
+def test_sweep_stdout(xor_csv, tmp_path, capsys):
     code, out, _ = run(
         capsys, "sweep", xor_csv, "--hidden-range", "1", "3", "--samples", "3"
     )
     assert code == 0
     assert out.splitlines()[0].startswith("hidden,")
+    # stdout carries exactly the bytes that --out writes
+    out_path = tmp_path / "sweep.csv"
+    code, written_out, _ = run(capsys, "sweep", xor_csv, "--hidden-range", "1", "3",
+                               "--samples", "3", "--out", str(out_path))
+    assert (code, written_out) == (0, "")
+    assert out_path.read_bytes() == out.encode()
+    assert len(out.splitlines()) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,22 @@ def test_roundtrip(tmp_path):
     assert np.array_equal(reloaded.features, original.features)
     assert np.array_equal(reloaded.labels, original.labels)
     assert reloaded.num_classes == original.num_classes
+    assert reloaded.feature_names == ("f1", "f2")
+    assert reloaded.label_names == original.label_names
+
+    # the file's own names come back, even with commas, quotes and newlines in them
+    source = write(tmp_path, 'width,"h,1",label,"say ""hi"""\n'
+                             '1,2,"a,b",3\n4,5,"say ""c""",6\n7,8,"d\ne",9\n')
+    named = load_csv(source)
+    write_csv(named, path)
+    assert path.read_text() == ('width,"h,1","say ""hi""",label\n'
+                                '1.0,2.0,3.0,"a,b"\n4.0,5.0,6.0,"say ""c"""\n'
+                                '7.0,8.0,9.0,"d\ne"\n')
+    reloaded = load_csv(path)
+    assert reloaded.feature_names == ("width", "h,1", 'say "hi"')
+    assert reloaded.label_names == ("a,b", 'say "c"', "d\ne")
+    assert np.array_equal(reloaded.features, named.features)
+    assert np.array_equal(reloaded.labels, named.labels)
 
 
 def test_label_column_anywhere(tmp_path):

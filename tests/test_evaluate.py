@@ -1,6 +1,7 @@
 """Pipeline tests: performance vectors, scoring, sampled and exhaustive modes."""
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -312,6 +313,17 @@ def test_grid_budget(xor_dataset):
     with pytest.raises(BudgetExceededError) as err:
         evaluate_exhaustive(arch, xor_dataset, grid)
     assert err.value.required == 3**13
+
+
+@pytest.mark.parametrize("arch", [MlpArchitecture(2, 37, 1), MlpArchitecture(2, 10, 3)],
+                         ids=["2^149-points", "2^63-points"])
+def test_grid_past_sys_maxsize_exceeds_any_budget(xor_dataset, arch):
+    # len(grid) must fit an index-sized integer, so no budget admits more points
+    grid = WeightGrid((-1.0, 1.0), arch.weight_count, budget=2**200)
+    with pytest.raises(BudgetExceededError) as err:
+        evaluate_exhaustive(arch, xor_dataset, grid)
+    assert err.value.required == 2**arch.weight_count > sys.maxsize
+    assert err.value.budget == sys.maxsize
 
 
 def test_exhaustive_matches_brute_force(xor_dataset):

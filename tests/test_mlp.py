@@ -84,6 +84,21 @@ def test_init_deterministic():
     assert not np.array_equal(init_weights(arch, 42), init_weights(arch, 43))
 
 
+@pytest.mark.parametrize("d, h, o", itertools.product((1, 2, 5), (1, 4, 19), (1, 3)))
+def test_init_weights_matches_two_uniform_draws(d, h, o):
+    # the flat layout: first layer then second, each drawn Glorot-uniform in turn
+    arch = MlpArchitecture(d, h, o)
+    r1, r2 = math.sqrt(6.0 / (d + h)), math.sqrt(6.0 / (h + o))
+    for entropy in (0, 17, (3, 1), (2**40, 9)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy))
+        expected = np.concatenate([rng.uniform(-r1, r1, size=(d + 1) * h),
+                                   rng.uniform(-r2, r2, size=(h + 1) * o)])
+        got = init_weights(arch, np.random.SeedSequence(entropy))
+        assert got.shape == (arch.weight_count,)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(init_weights(arch, 5), init_weights(arch, np.random.SeedSequence(5)))
+
+
 def test_init_mean_near_zero():
     arch = MlpArchitecture(2, 2, 1)
     samples = np.array([init_weights(arch, s)[0] for s in range(10000)])

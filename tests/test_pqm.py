@@ -405,6 +405,21 @@ def test_memory_file_unequal_lengths(tmp_path):
     path.write_text("0101\n011\n")
     with pytest.raises(ValueError):
         PatternMemory.from_file(path)
+    # the file and the constructor share one rule and one message; the file
+    # adds the line of the first pattern that breaks it
+    for text, patterns, lineno, message in (
+        ("0101\n011\n", ["0101", "011"], 2, "all patterns must have length 4, got 3 (011)"),
+        ("# c\n01\n\n10 # x\n1\n", ["01", "10", "1"], 5,
+         "all patterns must have length 2, got 1 (1)"),
+        ("0\n10\n", ["0", "10"], 2, "all patterns must have length 1, got 2 (10)"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            PatternMemory.from_file(path)
+        assert str(err.value) == f"{path}:{lineno}: {message}"
+        with pytest.raises(ValueError) as err:
+            PatternMemory.from_strings(patterns)
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
