@@ -8,6 +8,7 @@ class index).
 """
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -19,6 +20,27 @@ ACTIVATIONS = ("logistic", "tanh", "relu")
 
 class TrainingDivergedError(ArithmeticError):
     """Loss became non-finite during training."""
+
+
+class StopReason(enum.IntEnum):
+    """Why `train_batch` stopped training a row."""
+
+    TOLERANCE = 0  # the gradient norm is below `tolerance`
+    MAX_ITER = 1  # `max_iter` steps were taken
+    EXHAUSTED = 2  # the line search halved its step below 1e-14 without an Armijo step
+    DIVERGED = 3  # the loss, a gradient entry or the squared gradient norm went non-finite
+
+
+class TrainResult(tuple):
+    """`train_batch`'s `(weights, diverged)` pair, a 2-tuple that also carries
+    `stop_reason`, each row's `StopReason` code (int8), and `iterations`, the
+    number of steps each row took."""
+
+    def __new__(cls, weights, diverged, stop_reason, iterations):
+        result = super().__new__(cls, (weights, diverged))
+        result.stop_reason = stop_reason
+        result.iterations = iterations
+        return result
 
 
 @dataclass(frozen=True)
@@ -362,7 +384,7 @@ def train_batch(
     config: Optional[TrainConfig] = None,
     feature_mean: Optional[np.ndarray] = None,
     feature_scale: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> TrainResult:
     """Train a stack of models by full-batch gradient descent with Armijo backtracking.
 
     x is (n, input_dim) with n >= 1 and y holds n labels in [0, num_classes),
@@ -372,7 +394,9 @@ def train_batch(
     (S, weight_count) weights as a new array, leaving `weights` as it was, and
     a boolean mask of diverged models: those whose loss, any gradient entry or
     squared gradient norm went non-finite, at the initial weights or after a
-    step (their row holds the last weights reached).  Overflow is handled through these checks and the line search's
+    step (their row holds the last weights reached).  The pair is a
+    `TrainResult`, which also holds each row's `StopReason` and step count.
+    Overflow is handled through these checks and the line search's
     rejection of non-finite trial losses, so it raises no numpy warning.
     """
     config = config or TrainConfig()
@@ -401,6 +425,8 @@ def train_batch(
     # a non-finite gradient entry makes the squared norm non-finite too
     diverged = ~(np.isfinite(loss) & np.isfinite(gnorm_sq))
     active = ~diverged
+    exhausted = np.zeros(len(w), dtype=bool)
+    iterations = np.zeros(len(w), dtype=np.int64)
     # forward state of each row's accepted step, for the gradient call
     hidden = np.empty((len(w), len(x), arch.hidden_neurons))
     z = np.empty((len(w), len(x), arch.output_dim))
@@ -422,14 +448,16 @@ def train_batch(
                 w_try[ok], loss_try[ok], hidden_try[ok], z_try[ok])
             rows = rows[~ok]
             step[rows] *= 0.5
-            exhausted = step[rows] < 1e-14
-            active[rows[exhausted]] = False  # no descent step: converged
-            rows = rows[~exhausted]
+            gone = step[rows] < 1e-14  # no Armijo step left to try
+            active[rows[gone]] = False
+            exhausted[rows[gone]] = True
+            rows = rows[~gone]
         # a searching row still active took a step; its loss passed the
         # finite Armijo test, so only its gradient can diverge
         stepped = searching[active[searching]]
         if stepped.size == 0:
             continue
+        iterations[stepped] += 1
         sel = slice(None) if stepped.size == len(w) else stepped
         _, grad_new = batched_loss_and_grad(
             arch, w[sel], x, y, config.l2_alpha, forward=(loss[sel], hidden[sel], z[sel])
@@ -439,4 +467,9 @@ def train_batch(
         bad = stepped[~np.isfinite(gnorm_new)]
         diverged[bad] = True
         active[bad] = False
-    return w, diverged
+    reason = np.select(
+        [diverged, exhausted, np.sqrt(gnorm_sq) < config.tolerance],
+        [StopReason.DIVERGED, StopReason.EXHAUSTED, StopReason.TOLERANCE],
+        StopReason.MAX_ITER,
+    ).astype(np.int8)
+    return TrainResult(w, diverged, reason, iterations)

@@ -446,6 +446,39 @@ def test_train_batch_rows_independent_of_stack_size(output_dim, activation):
         assert np.array_equal(alone[0], together[i])
 
 
+def test_train_batch_reports_each_rows_stop_reason(monkeypatch):
+    # one stack, every reason: a row already at a stationary point, two fresh
+    # rows cut off by max_iter, a row whose gradient points uphill so no trial
+    # passes the Armijo test, and a row whose starting loss overflows
+    arch = MlpArchitecture(2, 4, 1)
+    settled = mlp.train_batch(arch, init_weights(arch, 0)[None], XOR_X, XOR_Y,
+                              TrainConfig(max_iter=5000, tolerance=1e-4))
+    assert settled.stop_reason[0] == mlp.StopReason.TOLERANCE
+    stack = np.stack([settled[0][0], init_weights(arch, 1), init_weights(arch, 2),
+                      init_weights(arch, 3), np.full(arch.weight_count, 1e300)])
+    kernel = mlp.batched_loss_and_grad
+
+    def uphill(arch, w, *args, **kwargs):
+        loss, grad = kernel(arch, w, *args, **kwargs)
+        grad[(w == stack[3]).all(axis=1)] *= -1.0
+        return loss, grad
+
+    monkeypatch.setattr(mlp, "batched_loss_and_grad", uphill)
+    cfg = TrainConfig(max_iter=3, tolerance=1e-3)
+    with np.errstate(all="ignore"):
+        result = mlp.train_batch(arch, stack, XOR_X, XOR_Y, cfg)
+    w, diverged = result
+    assert isinstance(result, tuple) and len(result) == 2
+    reason = mlp.StopReason
+    assert result.stop_reason.tolist() == [
+        reason.TOLERANCE, reason.MAX_ITER, reason.MAX_ITER, reason.EXHAUSTED, reason.DIVERGED]
+    assert np.bincount(result.stop_reason, minlength=len(reason)).tolist() == [1, 2, 1, 1]
+    assert result.iterations.tolist() == [0, 3, 3, 0, 0]
+    assert np.array_equal(diverged, result.stop_reason == reason.DIVERGED)
+    # rows that took no step keep their weights
+    assert np.array_equal(w[[0, 3]], stack[[0, 3]])
+
+
 @pytest.mark.parametrize("field", ["l2_alpha", "learning_rate", "tolerance"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_train_config_rejects_nonfinite(field, value):
