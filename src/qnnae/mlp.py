@@ -1,10 +1,16 @@
-"""Single-hidden-layer feedforward classifier trained by full-batch gradient descent.
+"""Single-hidden-layer feedforward classifier trained by full-batch L-BFGS.
 
 Weights live in one flat vector: first the (input_dim+1) x hidden input-to-hidden
 matrix (bias row last), then the (hidden+1) x output_dim hidden-to-output matrix.
 Binary problems use a single logistic output with a 0.5 threshold; multiclass uses
 softmax cross-entropy with argmax classification (ties broken toward the lowest
 class index).
+
+Training minimizes mean cross-entropy plus an L2 penalty by limited-memory BFGS
+(Liu and Nocedal, Math. Programming 45, 1989): the direction comes from the
+two-loop recursion over each network's last HISTORY steps (Nocedal and Wright,
+Numerical Optimization, 2nd ed., 2006, ch. 7), and an Armijo backtracking line
+search sets the step.
 """
 from __future__ import annotations
 
@@ -16,6 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 ACTIVATIONS = ("logistic", "tanh", "relu")
+HISTORY = 10  # L-BFGS memory: the curvature pairs of a row's last HISTORY steps
 
 
 class TrainingDivergedError(ArithmeticError):
@@ -74,7 +81,7 @@ class MlpArchitecture:
 class TrainConfig:
     max_iter: int = 400
     l2_alpha: float = 1e-5
-    learning_rate: float = 1.0
+    learning_rate: float = 1.0  # the first step's scale, L-BFGS's initial gamma
     tolerance: float = 1e-5
 
     def __post_init__(self):
@@ -239,7 +246,7 @@ def train(
     y: np.ndarray,
     config: Optional[TrainConfig] = None,
 ) -> MlpModel:
-    """Full-batch gradient descent with Armijo backtracking; loss never increases.
+    """Full-batch L-BFGS with Armijo backtracking; loss never increases.
 
     One-model `train_batch`; raises TrainingDivergedError if the loss goes
     non-finite.
@@ -251,6 +258,12 @@ def train(
     if diverged[0]:
         raise TrainingDivergedError("non-finite loss during training")
     return MlpModel(arch, w[0])
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of two (S, W) arrays; a row's value has
+    the same bits whatever the other rows are."""
+    return np.einsum("sw,sw->s", a, b)
 
 
 def _batched_unpack(arch: MlpArchitecture, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -375,7 +388,7 @@ def batched_loss_and_grad(
     return loss, grad
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_batch(
     arch: MlpArchitecture,
     weights: np.ndarray,
@@ -385,12 +398,21 @@ def train_batch(
     feature_mean: Optional[np.ndarray] = None,
     feature_scale: Optional[np.ndarray] = None,
 ) -> TrainResult:
-    """Train a stack of models by full-batch gradient descent with Armijo backtracking.
+    """Train a stack of models by full-batch L-BFGS with Armijo backtracking.
 
     x is (n, input_dim) with n >= 1 and y holds n labels in [0, num_classes),
     else ValueError; given statistics that pass `_feature_statistics`, x is
     first standardized as (x - feature_mean) / feature_scale.
-    Each row keeps its own step size and Armijo acceptance.  Returns the final
+    Each row keeps its own history: the direction d is -H g, where H applies
+    the pairs (s, y) of the row's last HISTORY steps by the two-loop recursion
+    to gamma * g.  gamma starts at `learning_rate` and becomes s.y / y.y of
+    the newest pair; a pair with s.y <= 0 is skipped, and a d with no finite
+    negative slope g.d gives way to -g.  Each iteration's search tries the
+    step w + t d from t = 1, halving t until loss(w + t d) <= loss(w) +
+    1e-4 t g.d, and gives the row up once t < 1e-14.  A row stops when its
+    gradient norm falls below `tolerance`, after `max_iter` steps, when its
+    line search gives up, or when it diverges.  A row's result does not
+    depend on the rest of the stack.  Returns the final
     (S, weight_count) weights as a new array, leaving `weights` as it was, and
     a boolean mask of diverged models: those whose loss, any gradient entry or
     squared gradient norm went non-finite, at the initial weights or after a
@@ -419,54 +441,87 @@ def train_batch(
     if arch.output_dim == 1:
         y = y.astype(np.float64)
 
-    step = np.full(w.shape[0], config.learning_rate)
+    n_rows = len(w)
     loss, grad = batched_loss_and_grad(arch, w, x, y, config.l2_alpha)
-    gnorm_sq = np.sum(grad * grad, axis=1)
+    gnorm_sq = _row_dots(grad, grad)
     # a non-finite gradient entry makes the squared norm non-finite too
     diverged = ~(np.isfinite(loss) & np.isfinite(gnorm_sq))
     active = ~diverged
-    exhausted = np.zeros(len(w), dtype=bool)
-    iterations = np.zeros(len(w), dtype=np.int64)
+    exhausted = np.zeros(n_rows, dtype=bool)
+    iterations = np.zeros(n_rows, dtype=np.int64)
     # forward state of each row's accepted step, for the gradient call
-    hidden = np.empty((len(w), len(x), arch.hidden_neurons))
-    z = np.empty((len(w), len(x), arch.output_dim))
-    for _ in range(config.max_iter):
+    hidden = np.empty((n_rows, len(x), arch.hidden_neurons))
+    z = np.empty((n_rows, len(x), arch.output_dim))
+    # slot k % HISTORY holds iteration k's step s and gradient change y for
+    # every row; rho = 1/(s.y), or 0 where the slot is empty or its s.y <= 0
+    s_hist = np.zeros((HISTORY, n_rows, w.shape[1]))
+    y_hist = np.zeros((HISTORY, n_rows, w.shape[1]))
+    rho = np.zeros((HISTORY, n_rows))
+    gamma = np.full(n_rows, config.learning_rate)  # s.y / y.y of the newest kept pair
+    for k in range(config.max_iter):
         active &= np.sqrt(gnorm_sq) >= config.tolerance
         searching = np.flatnonzero(active)
         if searching.size == 0:
             break
-        step = np.minimum(step * 2.0, 1e6)
+        # two-loop recursion over the whole stack, newest pair first
+        slots = [(k - 1 - i) % HISTORY for i in range(min(k, HISTORY))]
+        d = grad.copy()
+        alphas = []
+        for j in slots:
+            alphas.append(rho[j] * _row_dots(s_hist[j], d))
+            d -= alphas[-1][:, None] * y_hist[j]
+        d *= gamma[:, None]
+        for j, alpha in zip(reversed(slots), reversed(alphas)):
+            d += (alpha - rho[j] * _row_dots(y_hist[j], d))[:, None] * s_hist[j]
+        np.negative(d, out=d)
+        slope = _row_dots(grad, d)
+        uphill = active & ~(np.isfinite(slope) & (slope < 0.0))
+        if uphill.any():  # no finite descent direction: step along -g instead
+            d[uphill] = -grad[uphill]
+            slope[uphill] = -gnorm_sq[uphill]
+        slot = k % HISTORY
+        step = np.ones(n_rows)
         rows = searching
         while rows.size:
             # a slice reads views of the whole stack; an index array copies
-            sel = slice(None) if rows.size == len(w) else rows
-            w_try = w[sel] - step[sel][:, None] * grad[sel]
+            sel = slice(None) if rows.size == n_rows else rows
+            s_try = step[sel][:, None] * d[sel]
+            w_try = w[sel] + s_try
             loss_try, hidden_try, z_try = batched_loss(arch, w_try, x, y, config.l2_alpha)
-            ok = np.isfinite(loss_try) & (loss_try <= loss[sel] - 1e-4 * step[sel] * gnorm_sq[sel])
+            ok = np.isfinite(loss_try) & (loss_try <= loss[sel] + 1e-4 * step[sel] * slope[sel])
             acc = rows[ok]
-            w[acc], loss[acc], hidden[acc], z[acc] = (
-                w_try[ok], loss_try[ok], hidden_try[ok], z_try[ok])
+            w[acc], loss[acc], hidden[acc], z[acc], s_hist[slot, acc] = (
+                w_try[ok], loss_try[ok], hidden_try[ok], z_try[ok], s_try[ok])
             rows = rows[~ok]
             step[rows] *= 0.5
             gone = step[rows] < 1e-14  # no Armijo step left to try
             active[rows[gone]] = False
             exhausted[rows[gone]] = True
             rows = rows[~gone]
+        rho[slot] = 0.0
         # a searching row still active took a step; its loss passed the
         # finite Armijo test, so only its gradient can diverge
         stepped = searching[active[searching]]
         if stepped.size == 0:
             continue
         iterations[stepped] += 1
-        sel = slice(None) if stepped.size == len(w) else stepped
+        sel = slice(None) if stepped.size == n_rows else stepped
         _, grad_new = batched_loss_and_grad(
             arch, w[sel], x, y, config.l2_alpha, forward=(loss[sel], hidden[sel], z[sel])
         )
-        gnorm_new = np.sum(grad_new * grad_new, axis=1)
+        gnorm_new = _row_dots(grad_new, grad_new)
+        y_hist[slot, sel] = grad_new - grad[sel]
         grad[sel], gnorm_sq[sel] = grad_new, gnorm_new
         bad = stepped[~np.isfinite(gnorm_new)]
         diverged[bad] = True
         active[bad] = False
+        # keep the pairs with positive curvature of the rows that stepped;
+        # the other rows' entries in this slot are stale and stay at rho 0
+        sy = _row_dots(s_hist[slot], y_hist[slot])
+        kept = np.zeros(n_rows, dtype=bool)
+        kept[stepped] = sy[stepped] > 0.0
+        np.divide(1.0, sy, out=rho[slot], where=kept)
+        np.divide(sy, _row_dots(y_hist[slot], y_hist[slot]), out=gamma, where=kept)
     reason = np.select(
         [diverged, exhausted, np.sqrt(gnorm_sq) < config.tolerance],
         [StopReason.DIVERGED, StopReason.EXHAUSTED, StopReason.TOLERANCE],

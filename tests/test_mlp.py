@@ -1,4 +1,5 @@
 """Classifier tests: forward pass, gradients, the trainer."""
+import collections
 import itertools
 import math
 import warnings
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qnnae import mlp
+from qnnae import dataio, evaluate, mlp
+from qnnae.dataio import SplitSpec
 from qnnae.mlp import (
     MlpArchitecture,
     MlpModel,
@@ -658,60 +660,83 @@ def test_loss_and_grad_sum_classes_left_to_right(data, output_dim, activation):
 
 
 # ---------------------------------------------------------------------------
-# the trainer against a reference that recomputes every forward pass
+# the trainer against a one-row-at-a-time L-BFGS reference
 # ---------------------------------------------------------------------------
 
-def reference_train_batch(arch, weights, x, y, config):
-    """Armijo trainer that reruns the forward pass inside every gradient call."""
+def _dot(a, b):
+    return mlp._row_dots(a[None], b[None])[0]
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def reference_train_row(arch, weights, x, y, config):
+    """Textbook L-BFGS on one network: the two-loop recursion over the pairs of
+    the last HISTORY steps, where a step with s.y <= 0 left no pair, and an
+    Armijo search that halves a unit step.  Every kernel call takes this one
+    row and reruns its forward pass.  Returns (weights, StopReason, steps,
+    steps whose pair was skipped)."""
     w = np.array(weights, dtype=np.float64)
+    loss, g = (v[0] for v in mlp.batched_loss_and_grad(arch, w[None], x, y, config.l2_alpha))
+    gg = _dot(g, g)
+    if not (np.isfinite(loss) and np.isfinite(gg)):
+        return w, mlp.StopReason.DIVERGED, 0, 0
+    pairs = collections.deque(maxlen=mlp.HISTORY)  # (s, y, 1/s.y), or None
+    gamma, skipped = config.learning_rate, 0
+    for steps in range(config.max_iter):
+        if math.sqrt(gg) < config.tolerance:
+            return w, mlp.StopReason.TOLERANCE, steps, skipped
+        q, alphas = g.copy(), []
+        for pair in reversed(pairs):
+            alphas.append(None if pair is None else pair[2] * _dot(pair[0], q))
+            if pair is not None:
+                q -= alphas[-1] * pair[1]
+        r = q * gamma
+        for pair, alpha in zip(pairs, reversed(alphas)):
+            if pair is not None:
+                r += (alpha - pair[2] * _dot(pair[1], r)) * pair[0]
+        d = -r
+        slope = _dot(g, d)
+        if not (np.isfinite(slope) and slope < 0.0):
+            d, slope = -g, -gg
+        t = 1.0
+        while True:
+            s = t * d
+            loss_try = mlp.batched_loss(arch, (w + s)[None], x, y, config.l2_alpha)[0][0]
+            if np.isfinite(loss_try) and loss_try <= loss + 1e-4 * t * slope:
+                break
+            t *= 0.5
+            if t < 1e-14:
+                return w, mlp.StopReason.EXHAUSTED, steps, skipped
+        w, loss = w + s, loss_try
+        g_new = mlp.batched_loss_and_grad(arch, w[None], x, y, config.l2_alpha)[1][0]
+        gg = _dot(g_new, g_new)
+        if not np.isfinite(gg):
+            return w, mlp.StopReason.DIVERGED, steps + 1, skipped
+        y_step = g_new - g
+        sy = _dot(s, y_step)
+        pairs.append((s, y_step, 1.0 / sy) if sy > 0.0 else None)
+        if sy > 0.0:
+            gamma = sy / _dot(y_step, y_step)
+        else:
+            skipped += 1
+        g = g_new
+    reason = mlp.StopReason.TOLERANCE if math.sqrt(gg) < config.tolerance else mlp.StopReason.MAX_ITER
+    return w, reason, config.max_iter, skipped
+
+
+def reference_train_batch(arch, weights, x, y, config):
+    """`reference_train_row` on each row in turn, as a `TrainResult`."""
     y = y.astype(np.float64) if arch.output_dim == 1 else y
-    s = w.shape[0]
-    step = np.full(s, config.learning_rate)
-    loss, grad = mlp.batched_loss_and_grad(arch, w, x, y, config.l2_alpha)
-    # a row diverges when its loss, a gradient entry or its squared gradient
-    # norm is not finite, at the start or after a step
-    diverged = ~np.isfinite(loss) | ~np.isfinite(grad).all(axis=1)
-    diverged |= ~np.isfinite(np.sum(grad * grad, axis=1))
-    active = ~diverged
-    for _ in range(config.max_iter):
-        gnorm_sq = np.sum(grad * grad, axis=1)
-        active &= np.sqrt(gnorm_sq) >= config.tolerance
-        if not active.any():
-            break
-        step = np.minimum(step * 2.0, 1e6)
-        searching = active.copy()
-        accepted = np.zeros(s, dtype=bool)
-        w_next = w.copy()
-        while searching.any():
-            w_try = w[searching] - step[searching, None] * grad[searching]
-            loss_try = mlp.batched_loss(arch, w_try, x, y, config.l2_alpha)[0]
-            ok = np.isfinite(loss_try) & (
-                loss_try
-                <= loss[searching] - 1e-4 * step[searching] * gnorm_sq[searching]
-            )
-            idx = np.flatnonzero(searching)
-            w_next[idx[ok]] = w_try[ok]
-            accepted[idx[ok]] = True
-            searching[idx[ok]] = False
-            step[idx[~ok]] *= 0.5
-            exhausted = searching & (step < 1e-14)
-            active[exhausted] = False
-            searching[exhausted] = False
-        if not accepted.any():
-            continue
-        w = w_next
-        acc_idx = np.flatnonzero(accepted)
-        loss_new, grad_new = mlp.batched_loss_and_grad(
-            arch, w[acc_idx], x, y, config.l2_alpha
-        )
-        loss[acc_idx] = loss_new
-        grad[acc_idx] = grad_new
-        bad = np.zeros(s, dtype=bool)
-        bad[acc_idx] = ~np.isfinite(loss_new) | ~np.isfinite(grad_new).all(axis=1)
-        bad[acc_idx] |= ~np.isfinite(np.sum(grad_new * grad_new, axis=1))
-        diverged |= bad
-        active &= ~bad
-    return w, diverged
+    rows = [reference_train_row(arch, w, x, y, config) for w in weights]
+    reason = np.array([r[1] for r in rows], dtype=np.int8)
+    return mlp.TrainResult(np.array([r[0] for r in rows]), reason == mlp.StopReason.DIVERGED,
+                           reason, np.array([r[2] for r in rows]))
+
+
+def assert_same_training(got, want):
+    for name in ("stop_reason", "iterations"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[0], want[0])
 
 
 def _training_problem(output_dim, activation, rows):
@@ -740,24 +765,25 @@ def _recording_kernels(monkeypatch):
 
 
 @pytest.mark.parametrize("output_dim, activation", REFERENCE_CASES)
-def test_train_batch_matches_reference_trainer(output_dim, activation, monkeypatch):
+def test_train_batch_matches_lbfgs_reference(output_dim, activation, monkeypatch):
     arch, x, y, stack = _training_problem(output_dim, activation, rows=6)
     original = stack.copy()
     cfg = TrainConfig(max_iter=150)
     with monkeypatch.context() as m:
         got_sizes = _recording_kernels(m)
-        got_w, got_diverged = mlp.train_batch(arch, stack, x, y, cfg)
+        got = mlp.train_batch(arch, stack, x, y, cfg)
     with monkeypatch.context() as m:
         want_sizes = _recording_kernels(m)
-        want_w, want_diverged = reference_train_batch(arch, stack, x, y, cfg)
-    assert np.array_equal(got_w, want_w)
-    assert np.array_equal(got_diverged, want_diverged)
-    assert not got_diverged.any()
+        want = reference_train_batch(arch, stack, x, y, cfg)
+    assert_same_training(got, want)
+    assert not got[1].any()
     # rows are written in place in a copy, never in the caller's stack
     assert np.array_equal(stack, original)
-    # one trial call per backtracking round and one gradient call per
-    # iteration with accepted rows, each over the same rows as the reference
-    assert got_sizes == want_sizes
+    # the stacked kernels evaluate exactly the rows the reference does, one
+    # by one: each trial once, and each accepted step's gradient once
+    for name in KERNELS:
+        assert set(want_sizes[name]) == {1}
+        assert sum(got_sizes[name]) == len(want_sizes[name]), name
 
 
 def test_train_batch_kernels_see_whole_stacks_and_subsets(monkeypatch):
@@ -776,7 +802,7 @@ def test_train_batch_kernels_see_whole_stacks_and_subsets(monkeypatch):
         assert min(seen[name]) < len(stack), name
 
 
-def test_train_batch_matches_reference_trainer_with_diverging_rows(monkeypatch):
+def test_train_batch_matches_lbfgs_reference_with_diverging_rows(monkeypatch):
     # An accepted trial always has a finite loss, so a row diverges after a
     # step only when its gradient overflows.  Force that: every row whose loss
     # drops below a threshold gets an infinite gradient entry, in both trainers.
@@ -784,7 +810,7 @@ def test_train_batch_matches_reference_trainer_with_diverging_rows(monkeypatch):
     stack[4] = 1e300  # starting loss already non-finite
     cfg = TrainConfig(max_iter=150, learning_rate=1e6)
     kernel = mlp.batched_loss_and_grad
-    threshold = 0.62
+    threshold = 0.52
 
     def overflowing(arch, w, x, y, l2_alpha, **kwargs):
         loss, grad = kernel(arch, w, x, y, l2_alpha, **kwargs)
@@ -794,14 +820,78 @@ def test_train_batch_matches_reference_trainer_with_diverging_rows(monkeypatch):
     monkeypatch.setattr(mlp, "batched_loss_and_grad", overflowing)
     with np.errstate(all="ignore"):
         initial = mlp.batched_loss(arch, stack, x, y.astype(np.float64), cfg.l2_alpha)[0]
-        got_w, got_diverged = mlp.train_batch(arch, stack, x, y, cfg)
-        want_w, want_diverged = reference_train_batch(arch, stack, x, y, cfg)
-    assert np.array_equal(got_w, want_w)
-    assert np.array_equal(got_diverged, want_diverged)
+        got = mlp.train_batch(arch, stack, x, y, cfg)
+        want = reference_train_batch(arch, stack, x, y, cfg)
+    assert_same_training(got, want)
+    got_diverged = got[1]
     assert got_diverged[4]
     # some rows went bad after an accepted step, some never did
     mid_training = got_diverged & np.isfinite(initial)
     assert mid_training.any() and not got_diverged.all()
+
+
+def test_train_batch_skips_a_pair_without_curvature_for_its_row_only():
+    # an Armijo step alone does not ensure s.y > 0 on a non-convex loss; such
+    # a step leaves its row's slot empty, and the other rows are not touched
+    arch, x, y, stack = _training_problem(1, "logistic", rows=6)
+    cfg = TrainConfig(max_iter=150)
+    skipped = [reference_train_row(arch, w, x, y.astype(np.float64), cfg)[3] for w in stack]
+    assert 0 < np.count_nonzero(skipped) < len(stack)
+    together = mlp.train_batch(arch, stack, x, y, cfg)
+    assert_same_training(together, reference_train_batch(arch, stack, x, y, cfg))
+    for i in range(len(stack)):
+        assert np.array_equal(mlp.train_batch(arch, stack[i : i + 1], x, y, cfg)[0][0],
+                              together[0][i])
+
+
+def test_train_batch_steps_along_the_gradient_when_the_direction_overflows():
+    # the first direction is -learning_rate * g; at 1e308, with a strong
+    # penalty making |g| > 1, its slope g.d overflows: no finite descent
+    # direction, so the row steps along -g
+    arch, x, y, stack = _training_problem(1, "logistic", rows=4)
+    y = y.astype(np.float64)
+    cfg = TrainConfig(max_iter=1, l2_alpha=10.0, learning_rate=1e308)
+    got = mlp.train_batch(arch, stack, x, y, cfg)
+    assert_same_training(got, reference_train_batch(arch, stack, x, y, cfg))
+    assert (got.iterations == 1).all()
+    loss, grad = mlp.batched_loss_and_grad(arch, stack, x, y, cfg.l2_alpha)
+    for w, loss0, g, trained in zip(stack, loss, grad, got[0]):
+        gg = _dot(g, g)
+        t = 1.0
+        with np.errstate(over="ignore"):
+            assert np.isinf(_dot(g, -cfg.learning_rate * g))
+            while not mlp.batched_loss(arch, (w + t * -g)[None], x, y, cfg.l2_alpha)[0][0] <= (
+                    loss0 + 1e-4 * t * -gg):
+                t *= 0.5
+        assert np.array_equal(trained, w + t * -g)
+
+
+def test_train_batch_rows_independent_of_stack_size_with_mixed_stop_reasons():
+    # rows stopped on the tolerance, at max_iter, on an exhausted line search
+    # and on divergence share a stack; each trains to the bits it has alone
+    arch, x, y, stack = _training_problem(1, "relu", rows=8)
+    stack[5] = 1e300  # the starting loss overflows
+    cfg = TrainConfig(max_iter=150, tolerance=1e-3)
+    together = mlp.train_batch(arch, stack, x, y, cfg)
+    assert set(together.stop_reason.tolist()) == set(mlp.StopReason)
+    for i in range(len(stack)):
+        alone = mlp.train_batch(arch, stack[i : i + 1], x, y, cfg)
+        assert np.array_equal(alone[0][0], together[0][i])
+        assert alone.stop_reason[0] == together.stop_reason[i]
+        assert alone.iterations[0] == together.iterations[i]
+
+
+def test_train_batch_trains_xor_rows_to_the_tolerance():
+    # on the 400-point xor set with 4 hidden units, the default settings stop
+    # most rows on the gradient tolerance, well before max_iter
+    data = dataio.make_synthetic("xor", 400, 0.15, seed=3)
+    x, y, _, _, mean, scale = evaluate.standardized_splits(data, SplitSpec(seed=0))
+    arch = MlpArchitecture(2, 4, 1)
+    stack = np.stack([init_weights(arch, s) for s in range(64)])
+    result = mlp.train_batch(arch, stack, x, y, None, mean, scale)
+    reasons = np.bincount(result.stop_reason, minlength=len(mlp.StopReason))
+    assert reasons[mlp.StopReason.TOLERANCE] >= 0.9 * len(stack)
+    assert reasons[mlp.StopReason.MAX_ITER] == 0
 
 
 def test_train_batch_flags_rows_whose_gradient_norm_overflows():
@@ -811,13 +901,12 @@ def test_train_batch_flags_rows_whose_gradient_norm_overflows():
     cfg = TrainConfig(l2_alpha=1e300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got_w, got_diverged = mlp.train_batch(arch, stack, x, y, cfg)
-    assert got_diverged.all()
-    assert np.array_equal(got_w, stack)
+        got = mlp.train_batch(arch, stack, x, y, cfg)
+    assert got[1].all()
+    assert np.array_equal(got[0], stack)
     with np.errstate(all="ignore"):
-        want_w, want_diverged = reference_train_batch(arch, stack, x, y, cfg)
-    assert np.array_equal(got_w, want_w)
-    assert np.array_equal(got_diverged, want_diverged)
+        want = reference_train_batch(arch, stack, x, y, cfg)
+    assert_same_training(got, want)
 
 
 def test_train_batch_validates_inputs():
