@@ -12,7 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +51,8 @@ class Dataset:
             raise ValueError(
                 f"{len(self.feature_names)} feature names for {self.num_features} features"
             )
+        # `write_csv` heads the label column `label`
+        check_column_names((*self.feature_names, "label"))
 
     @property
     def num_examples(self) -> int:
@@ -70,6 +72,20 @@ class Dataset:
             self.label_names,
             self.feature_names,
         )
+
+
+def check_column_names(names: Sequence[str]) -> None:
+    """ValueError unless every name is non-empty, prints on one line and is
+    used once: messages name columns, and a CSV header must read back."""
+    seen = set()
+    for i, name in enumerate(names, start=1):
+        if not name:
+            raise ValueError(f"column {i} has no name")
+        if not name.isprintable():
+            raise ValueError(f"column name {name!r} does not print")
+        if name in seen:
+            raise ValueError(f"repeated column name {name!r}")
+        seen.add(name)
 
 
 @dataclass(frozen=True)
@@ -131,19 +147,11 @@ def load_csv(path) -> Dataset:
         feature_cols = [i for i in range(len(header)) if i != label_col]
         if not feature_cols:
             raise ValueError(f"{path}: header has no feature columns")
-        # messages name columns, so a name must be non-empty, unique and
-        # print on one line; a repeated `label` would also leave its copies
-        # among the features
-        where = f"{path}:{reader.line_num}"
-        seen = set()
-        for i, name in enumerate(header, start=1):
-            if not name:
-                raise ValueError(f"{where}: column {i} has no name")
-            if not name.isprintable():
-                raise ValueError(f"{where}: column name {name!r} does not print")
-            if name in seen:
-                raise ValueError(f"{where}: repeated column name {name!r}")
-            seen.add(name)
+        # a repeated `label` would also leave its copies among the features
+        try:
+            check_column_names(header)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
         rows: List[List[float]] = []
         raw_labels: List[str] = []
@@ -195,14 +203,23 @@ def load_csv(path) -> Dataset:
     )
 
 
+def _csv_record(fields: Sequence[str]) -> str:
+    """One CSV line ending in \n.  A field holding a comma, a quote, \n or \r
+    is quoted, its quotes doubled; csv.writer would leave a lone \r bare
+    when lines end in \n, and the reader would split the record there."""
+    return ",".join(
+        '"' + f.replace('"', '""') + '"' if any(c in f for c in ',"\n\r') else f
+        for f in fields
+    ) + "\n"
+
+
 def write_csv(ds: Dataset, path) -> None:
     """The dataset in the schema `load_csv` reads, with its own column and
-    label names, quoted where they hold a comma, a quote or a newline."""
+    label names, quoted where they hold a comma, a quote, \n or \r."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([*ds.feature_names, "label"])
+        fh.write(_csv_record([*ds.feature_names, "label"]))
         for row, label in zip(ds.features, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [ds.label_names[label]])
+            fh.write(_csv_record([repr(float(v)) for v in row] + [ds.label_names[label]]))
 
 
 def _train_quota(counts: np.ndarray, train_size: int) -> np.ndarray:

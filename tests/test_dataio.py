@@ -138,6 +138,35 @@ def test_roundtrip(tmp_path):
     assert np.array_equal(reloaded.labels, named.labels)
 
 
+def test_roundtrip_quotes_a_label_holding_a_carriage_return(tmp_path):
+    # csv.writer with \n line ends leaves a lone \r bare, and the reload
+    # split the record there
+    source = tmp_path / "cr.csv"
+    source.write_bytes(b'x,label\n1,"a\rb"\n2,c\n')
+    loaded = load_csv(source)
+    assert loaded.label_names == ("a\rb", "c")
+    path = tmp_path / "cr2.csv"
+    write_csv(loaded, path)
+    assert path.read_bytes() == b'x,label\n1.0,"a\rb"\n2.0,c\n'
+    reloaded = load_csv(path)
+    assert reloaded.label_names == loaded.label_names
+    assert np.array_equal(reloaded.labels, loaded.labels)
+    assert np.array_equal(reloaded.features, loaded.features)
+
+
+@pytest.mark.parametrize("names, message", [
+    (("label", "x"), "repeated column name 'label'"),
+    (("x", "x"), "repeated column name 'x'"),
+    (("", "x"), "column 1 has no name"),
+    (("x", "y\nz"), "column name 'y\\nz' does not print"),
+])
+def test_dataset_refuses_feature_names_a_header_cannot_hold(tmp_path, names, message):
+    # write_csv heads the features with these names and the labels with
+    # `label`; load_csv would refuse the header
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Dataset(np.zeros((2, 2)), [0, 1], 2, feature_names=names)
+
+
 def test_label_column_anywhere(tmp_path):
     path = write(tmp_path, "f1,label,f2\n1,a,2\n3,b,4\n")
     ds = load_csv(path)
