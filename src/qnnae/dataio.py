@@ -52,7 +52,7 @@ class Dataset:
                 f"{len(self.feature_names)} feature names for {self.num_features} features"
             )
         # `write_csv` heads the label column `label`
-        check_column_names((*self.feature_names, "label"))
+        _check_column_names((*self.feature_names, "label"))
 
     @property
     def num_examples(self) -> int:
@@ -74,7 +74,7 @@ class Dataset:
         )
 
 
-def check_column_names(names: Sequence[str]) -> None:
+def _check_column_names(names: Sequence[str]) -> None:
     """ValueError unless every name is non-empty, prints on one line and is
     used once: messages name columns, and a CSV header must read back."""
     seen = set()
@@ -149,7 +149,7 @@ def load_csv(path) -> Dataset:
             raise ValueError(f"{path}: header has no feature columns")
         # a repeated `label` would also leave its copies among the features
         try:
-            check_column_names(header)
+            _check_column_names(header)
         except ValueError as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 

@@ -412,14 +412,16 @@ def train_batch(
     1e-4 t g.d, and gives the row up once t < 1e-14.  A row stops when its
     gradient norm falls below `tolerance`, after `max_iter` steps, when its
     line search gives up, or when it diverges.  A row's result does not
-    depend on the rest of the stack.  Returns the final
-    (S, weight_count) weights as a new array, leaving `weights` as it was, and
-    a boolean mask of diverged models: those whose loss, any gradient entry or
-    squared gradient norm went non-finite, at the initial weights or after a
-    step (their row holds the last weights reached).  The pair is a
-    `TrainResult`, which also holds each row's `StopReason` and step count.
-    Overflow is handled through these checks and the line search's
-    rejection of non-finite trial losses, so it raises no numpy warning.
+    depend on the rest of the stack.
+
+    Returns the final (S, weight_count) weights as a new array, leaving
+    `weights` as it was, and a boolean mask of diverged models: those whose
+    loss, any gradient entry or squared gradient norm went non-finite, at the
+    initial weights or after a step (their row holds the last weights
+    reached).  The pair is a `TrainResult`, which also holds each row's
+    `StopReason` and step count.  Overflow is handled through these checks
+    and the line search's rejection of non-finite trial losses, so it raises
+    no numpy warning.
     """
     config = config or TrainConfig()
     w = np.array(weights, dtype=np.float64)
