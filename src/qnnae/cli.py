@@ -178,8 +178,9 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", dest="max_iter", type=int,
                         help=f"training iterations (default {DEFAULTS['max_iter']})")
     parser.add_argument("--learning-rate", dest="learning_rate", type=float,
-                        help="scale of each network's first training step, the initial "
-                             f"inverse-Hessian scale of L-BFGS (default {DEFAULTS['learning_rate']})")
+                        help="scale of each network's first training step, L-BFGS's "
+                             "initial inverse-Hessian scale "
+                             f"(default {DEFAULTS['learning_rate']})")
     parser.add_argument("--tolerance", type=float, help="gradient-norm stopping tolerance")
     parser.add_argument("--samples", type=int,
                         help=f"weight samples per architecture (default {DEFAULTS['samples']})")

@@ -686,13 +686,17 @@ def reference_train_row(arch, weights, x, y, config):
             return w, mlp.StopReason.TOLERANCE, steps, skipped
         q, alphas = g.copy(), []
         for pair in reversed(pairs):
-            alphas.append(None if pair is None else pair[2] * _dot(pair[0], q))
+            alpha = None
             if pair is not None:
-                q -= alphas[-1] * pair[1]
+                s_i, y_i, rho_i = pair
+                alpha = rho_i * _dot(s_i, q)
+                q -= alpha * y_i
+            alphas.append(alpha)
         r = q * gamma
         for pair, alpha in zip(pairs, reversed(alphas)):
             if pair is not None:
-                r += (alpha - pair[2] * _dot(pair[1], r)) * pair[0]
+                s_i, y_i, rho_i = pair
+                r += (alpha - rho_i * _dot(y_i, r)) * s_i
         d = -r
         slope = _dot(g, d)
         if not (np.isfinite(slope) and slope < 0.0):
@@ -719,7 +723,8 @@ def reference_train_row(arch, weights, x, y, config):
         else:
             skipped += 1
         g = g_new
-    reason = mlp.StopReason.TOLERANCE if math.sqrt(gg) < config.tolerance else mlp.StopReason.MAX_ITER
+    reached = math.sqrt(gg) < config.tolerance
+    reason = mlp.StopReason.TOLERANCE if reached else mlp.StopReason.MAX_ITER
     return w, reason, config.max_iter, skipped
 
 
