@@ -204,9 +204,10 @@ def load_csv(path) -> Dataset:
 
 
 def _csv_record(fields: Sequence[str]) -> str:
-    """One CSV line ending in \n.  A field holding a comma, a quote, \n or \r
-    is quoted, its quotes doubled; csv.writer would leave a lone \r bare
-    when lines end in \n, and the reader would split the record there."""
+    """One CSV line ending in a newline.  A field holding a comma, a quote, a
+    newline or a carriage return is quoted, its quotes doubled; csv.writer
+    leaves a lone carriage return bare when lines end in a newline, and the
+    reader would split the record there."""
     return ",".join(
         '"' + f.replace('"', '""') + '"' if any(c in f for c in ',"\n\r') else f
         for f in fields
@@ -215,7 +216,8 @@ def _csv_record(fields: Sequence[str]) -> str:
 
 def write_csv(ds: Dataset, path) -> None:
     """The dataset in the schema `load_csv` reads, with its own column and
-    label names, quoted where they hold a comma, a quote, \n or \r."""
+    label names, quoted where they hold a comma, a quote, a newline or a
+    carriage return."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv_record([*ds.feature_names, "label"]))
         for row, label in zip(ds.features, ds.labels):
