@@ -181,13 +181,15 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
                         help="scale of each network's first training step, L-BFGS's "
                              "initial inverse-Hessian scale "
                              f"(default {DEFAULTS['learning_rate']})")
-    parser.add_argument("--tolerance", type=float, help="gradient-norm stopping tolerance")
+    parser.add_argument("--tolerance", type=float,
+                        help=f"gradient-norm stopping tolerance (default {DEFAULTS['tolerance']})")
     parser.add_argument("--samples", type=int,
                         help=f"weight samples per architecture (default {DEFAULTS['samples']})")
     parser.add_argument("--seed", type=int, help=f"master RNG seed (default {DEFAULTS['seed']})")
     parser.add_argument("--train-fraction", dest="train_fraction", type=float,
                         help=f"train split fraction (default {DEFAULTS['train_fraction']})")
-    parser.add_argument("--activation", choices=ACTIVATIONS)
+    parser.add_argument("--activation", choices=ACTIVATIONS,
+                        help=f"hidden-layer activation (default {DEFAULTS['activation']})")
     parser.add_argument("--threads", type=int, help="accepted, but work runs in one thread")
     parser.add_argument("--show-config", action="store_true",
                         help="print the effective configuration and exit")

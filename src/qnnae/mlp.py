@@ -23,6 +23,7 @@ import numpy as np
 
 ACTIVATIONS = ("logistic", "tanh", "relu")
 HISTORY = 10  # L-BFGS memory: the curvature pairs of a row's last HISTORY steps
+_RUNNING = -1  # `train_batch`'s mark for a row still training; not a `StopReason`
 
 
 class TrainingDivergedError(ArithmeticError):
@@ -94,6 +95,9 @@ class TrainConfig:
             raise ValueError(f"l2_alpha must be >= 0, got {self.l2_alpha}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        # the line search halves a first step only down to 1e-14 of it
+        if self.learning_rate > 1e6:
+            raise ValueError(f"learning_rate must be <= {1e6}, got {self.learning_rate}")
         if self.tolerance <= 0:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
 
@@ -411,8 +415,9 @@ def train_batch(
     step w + t d from t = 1, halving t until loss(w + t d) <= loss(w) +
     1e-4 t g.d, and gives the row up once t < 1e-14.  A row stops when its
     gradient norm falls below `tolerance`, after `max_iter` steps, when its
-    line search gives up, or when it diverges.  A row's result does not
-    depend on the rest of the stack.
+    line search gives up, or when it diverges; a row whose last allowed step
+    brings its gradient norm below `tolerance` stops on the tolerance.  A
+    row's result does not depend on the rest of the stack.
 
     Returns the final (S, weight_count) weights as a new array, leaving
     `weights` as it was, and a boolean mask of diverged models: those whose
@@ -446,10 +451,7 @@ def train_batch(
     n_rows = len(w)
     loss, grad = batched_loss_and_grad(arch, w, x, y, config.l2_alpha)
     gnorm_sq = _row_dots(grad, grad)
-    # a non-finite gradient entry makes the squared norm non-finite too
-    diverged = ~(np.isfinite(loss) & np.isfinite(gnorm_sq))
-    active = ~diverged
-    exhausted = np.zeros(n_rows, dtype=bool)
+    reason = np.full(n_rows, _RUNNING, dtype=np.int8)
     iterations = np.zeros(n_rows, dtype=np.int64)
     # forward state of each row's accepted step, for the gradient call
     hidden = np.empty((n_rows, len(x), arch.hidden_neurons))
@@ -460,10 +462,16 @@ def train_batch(
     y_hist = np.zeros((HISTORY, n_rows, w.shape[1]))
     rho = np.zeros((HISTORY, n_rows))
     gamma = np.full(n_rows, config.learning_rate)  # s.y / y.y of the newest kept pair
-    for k in range(config.max_iter):
-        active &= np.sqrt(gnorm_sq) >= config.tolerance
-        searching = np.flatnonzero(active)
-        if searching.size == 0:
+    # pass k first judges the state after k steps; pass max_iter only judges
+    for k in range(config.max_iter + 1):
+        running = reason == _RUNNING
+        reason[running & (np.sqrt(gnorm_sq) < config.tolerance)] = StopReason.TOLERANCE
+        # divergence overrides; a non-finite gradient entry makes the squared
+        # norm non-finite too
+        reason[running & ~(np.isfinite(loss) & np.isfinite(gnorm_sq))] = StopReason.DIVERGED
+        running = reason == _RUNNING
+        searching = np.flatnonzero(running)
+        if searching.size == 0 or k == config.max_iter:
             break
         # two-loop recursion over the whole stack, newest pair first
         slots = [(k - 1 - i) % HISTORY for i in range(min(k, HISTORY))]
@@ -477,7 +485,7 @@ def train_batch(
             d += (alpha - rho[j] * _row_dots(y_hist[j], d))[:, None] * s_hist[j]
         np.negative(d, out=d)
         slope = _row_dots(grad, d)
-        uphill = active & ~(np.isfinite(slope) & (slope < 0.0))
+        uphill = running & ~(np.isfinite(slope) & (slope < 0.0))
         if uphill.any():  # no finite descent direction: step along -g instead
             d[uphill] = -grad[uphill]
             slope[uphill] = -gnorm_sq[uphill]
@@ -497,13 +505,10 @@ def train_batch(
             rows = rows[~ok]
             step[rows] *= 0.5
             gone = step[rows] < 1e-14  # no Armijo step left to try
-            active[rows[gone]] = False
-            exhausted[rows[gone]] = True
+            reason[rows[gone]] = StopReason.EXHAUSTED
             rows = rows[~gone]
-        rho[slot] = 0.0
-        # a searching row still active took a step; its loss passed the
-        # finite Armijo test, so only its gradient can diverge
-        stepped = searching[active[searching]]
+        running = reason == _RUNNING  # every row still running took a step
+        stepped = np.flatnonzero(running)
         if stepped.size == 0:
             continue
         iterations[stepped] += 1
@@ -514,19 +519,11 @@ def train_batch(
         gnorm_new = _row_dots(grad_new, grad_new)
         y_hist[slot, sel] = grad_new - grad[sel]
         grad[sel], gnorm_sq[sel] = grad_new, gnorm_new
-        bad = stepped[~np.isfinite(gnorm_new)]
-        diverged[bad] = True
-        active[bad] = False
         # keep the pairs with positive curvature of the rows that stepped;
-        # the other rows' entries in this slot are stale and stay at rho 0
+        # the other rows' entries in this slot are stale and get rho 0
         sy = _row_dots(s_hist[slot], y_hist[slot])
-        kept = np.zeros(n_rows, dtype=bool)
-        kept[stepped] = sy[stepped] > 0.0
-        np.divide(1.0, sy, out=rho[slot], where=kept)
+        kept = running & (sy > 0.0)
+        rho[slot] = np.where(kept, 1.0 / sy, 0.0)
         np.divide(sy, _row_dots(y_hist[slot], y_hist[slot]), out=gamma, where=kept)
-    reason = np.select(
-        [diverged, exhausted, np.sqrt(gnorm_sq) < config.tolerance],
-        [StopReason.DIVERGED, StopReason.EXHAUSTED, StopReason.TOLERANCE],
-        StopReason.MAX_ITER,
-    ).astype(np.int8)
-    return TrainResult(w, diverged, reason, iterations)
+    reason[reason == _RUNNING] = StopReason.MAX_ITER
+    return TrainResult(w, reason == StopReason.DIVERGED, reason, iterations)

@@ -471,6 +471,8 @@ def test_config_and_memory_files_without_content_are_refused(tmp_path, text):
         ("tolerance", "--tolerance", "nan", "tolerance must be finite, got nan"),
         ("alpha", "--alpha", "nan", "l2_alpha must be finite, got nan"),
         ("learning_rate", "--learning-rate", "inf", "learning_rate must be finite, got inf"),
+        ("learning_rate", "--learning-rate", "1e7",
+         "learning_rate must be <= 1000000.0, got 10000000.0"),
         ("samples", "--samples", "0", "samples must be >= 1, got 0"),
         ("train_fraction", "--train-fraction", "1.0", "train_fraction must be in (0,1), got 1.0"),
         ("train_fraction", "--train-fraction", "nan", "train_fraction must be in (0,1), got nan"),

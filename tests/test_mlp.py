@@ -850,18 +850,21 @@ def test_train_batch_skips_a_pair_without_curvature_for_its_row_only():
 
 
 def test_train_batch_steps_along_the_gradient_when_the_direction_overflows():
-    # the first direction is -learning_rate * g; at 1e308, with a strong
-    # penalty making |g| > 1, its slope g.d overflows: no finite descent
-    # direction, so the row steps along -g
+    # the first direction is -learning_rate * g; at the largest learning rate,
+    # with weights near 1e150 and a strong penalty, g.g is near 1e303 and the
+    # slope g.d overflows: no finite descent direction, so the row steps along -g
     arch, x, y, stack = _training_problem(1, "logistic", rows=4)
+    stack *= 1e150
     y = y.astype(np.float64)
-    cfg = TrainConfig(max_iter=1, l2_alpha=10.0, learning_rate=1e308)
+    cfg = TrainConfig(max_iter=1, l2_alpha=10.0, learning_rate=1e6)
     got = mlp.train_batch(arch, stack, x, y, cfg)
     assert_same_training(got, reference_train_batch(arch, stack, x, y, cfg))
     assert (got.iterations == 1).all()
     loss, grad = mlp.batched_loss_and_grad(arch, stack, x, y, cfg.l2_alpha)
+    assert np.isfinite(loss).all()
     for w, loss0, g, trained in zip(stack, loss, grad, got[0]):
         gg = _dot(g, g)
+        assert np.isfinite(gg)
         t = 1.0
         with np.errstate(over="ignore"):
             assert np.isinf(_dot(g, -cfg.learning_rate * g))
@@ -869,6 +872,25 @@ def test_train_batch_steps_along_the_gradient_when_the_direction_overflows():
                     loss0 + 1e-4 * t * -gg):
                 t *= 0.5
         assert np.array_equal(trained, w + t * -g)
+
+
+def test_train_batch_stops_on_the_tolerance_reached_at_max_iter():
+    # a row whose last allowed step brings its gradient norm below the
+    # tolerance stops on the tolerance; one step fewer stops it at max_iter
+    arch, x, y, stack = _training_problem(1, "logistic", rows=1)
+    free = mlp.train_batch(arch, stack, x, y, TrainConfig(max_iter=5000))
+    assert free.stop_reason[0] == mlp.StopReason.TOLERANCE
+    steps = int(free.iterations[0])  # 191
+    assert 1 < steps < 5000
+    cases = [(steps, mlp.StopReason.TOLERANCE), (steps - 1, mlp.StopReason.MAX_ITER)]
+    for max_iter, reason in cases:
+        cfg = TrainConfig(max_iter=max_iter)
+        got = mlp.train_batch(arch, stack, x, y, cfg)
+        assert got.stop_reason[0] == reason
+        assert got.iterations[0] == max_iter
+        assert_same_training(got, reference_train_batch(arch, stack, x, y, cfg))
+        if reason == mlp.StopReason.TOLERANCE:
+            assert np.array_equal(got[0], free[0])
 
 
 def test_train_batch_rows_independent_of_stack_size_with_mixed_stop_reasons():
