@@ -24,7 +24,6 @@ from .mlp import (
 )
 from .pqm import (
     BitString,
-    CapacityError,
     PatternMemory,
     RetrievalOutcome,
     hamming_distance,
@@ -33,6 +32,6 @@ from .pqm import (
     retrieve_circuit,
     retrieve_exact_from_circuit,
 )
-from .qsim import StateVector
+from .qsim import SparseState, StateVector
 
 __version__ = "0.1.0"

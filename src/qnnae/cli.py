@@ -7,7 +7,7 @@ Subcommands:
     synth     generate a synthetic CSV dataset
 
 Exit codes: 0 success; 1 input/data error; 2 resource error (grid budget,
-circuit capacity, out of memory) or a malformed command line.
+out of memory) or a malformed command line.
 Option precedence: command-line flags > config file (`--config`, key=value
 lines) > built-in defaults.  All randomness flows from --seed (default 0,
 never time-based).
@@ -251,7 +251,7 @@ def _cmd_pqm(args: argparse.Namespace) -> int:
     memory = pqm.PatternMemory.from_file(args.memory_file)
     input_pattern = pqm.BitString.from_string(args.input_bits)
     outcome = pqm.retrieve_analytic(memory, input_pattern)
-    # built before any output, so a circuit over capacity prints nothing
+    # built before any output, so running out of memory prints only the error
     circuit_needed = args.circuit or args.shots is not None
     state = pqm.retrieval_state(memory, input_pattern) if circuit_needed else None
     print(f"p0={outcome.p0:.6f} p1={outcome.p1:.6f}")
@@ -380,7 +380,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (pqm.CapacityError, evaluate.BudgetExceededError) as exc:
+    except evaluate.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_ERROR
     except MemoryError as exc:

@@ -6,8 +6,8 @@ with an input pattern yields a control bit that reads 0 with probability
     P(c=0) = (1/p) * sum_k cos^2(pi * d_H(input, pattern_k) / (2n))
 
 Both an analytic evaluation (`retrieve_from_distances`, the formula's one copy)
-and a circuit-level realization on the state-vector simulator are provided; they
-must agree, and tests enforce that.
+and a circuit-level realization on the simulator are provided; they must agree,
+and tests enforce that.
 """
 from __future__ import annotations
 
@@ -19,13 +19,6 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dataio, qsim
-
-MAX_PATTERN_QUBITS = 10
-
-
-class CapacityError(RuntimeError):
-    """Raised when a circuit would exceed the simulator budget."""
-
 
 class BitString(tuple):
     """Fixed-length pattern of 0/1 bits: a tuple, so it equals and hashes as
@@ -178,32 +171,32 @@ def prepare_memory_state(memory: PatternMemory) -> qsim.StateVector:
     return qsim.StateVector(n, amps)
 
 
-def retrieval_state(memory: PatternMemory, input_pattern: BitString) -> qsim.StateVector:
+def retrieval_state(memory: PatternMemory, input_pattern: BitString) -> qsim.SparseState:
     """Run the retrieval circuit, returning the pre-measurement 2n+1 qubit state.
 
     Register layout (little-endian qubit indices): input on [0, n), memory on
     [n, 2n), control on 2n.  Bit k of a pattern string maps to qubit n-1-k of
     its register, so a register's integer value equals the bit string read as
-    binary.  The memory register starts in `prepare_memory_state`, the input
-    register in the input pattern, and `apply_retrieval` runs the gates.
+    binary.  The input register starts in the input pattern, the memory
+    register in the storage state of `prepare_memory_state`, and
+    `apply_retrieval` runs the gates.  The state is a `qsim.SparseState`: one
+    row per distinct pattern, which the two Hadamards on the control at most
+    double, so any pattern length runs.
     """
     _check_input(memory, input_pattern)
     n = memory.pattern_length
-    if n > MAX_PATTERN_QUBITS:
-        raise CapacityError(
-            f"retrieval circuit needs {2 * n + 1} qubits; "
-            f"pattern length is limited to {MAX_PATTERN_QUBITS}"
-        )
-    state = qsim.StateVector(2 * n + 1)
-    state.amplitudes[0] = 0.0
-    memory_index = np.arange(2**n) << n
-    state.amplitudes[input_pattern.to_index() + memory_index] = (
-        prepare_memory_state(memory).amplitudes
+    p = len(memory)
+    counts = Counter(memory.patterns)
+    input_index = input_pattern.to_index()
+    state = qsim.SparseState(
+        2 * n + 1,
+        [input_index | (pattern.to_index() << n) for pattern in counts],
+        [math.sqrt(mult / p) for mult in counts.values()],
     )
     return apply_retrieval(state, n)
 
 
-def apply_retrieval(state: qsim.StateVector, n: int) -> qsim.StateVector:
+def apply_retrieval(state: qsim.State, n: int) -> qsim.State:
     """Run the retrieval gates on qubits [0, 2n] of `state`, in place.
 
     Qubits [0, n) hold the input, [n, 2n) the memory and 2n the control, laid
@@ -242,8 +235,8 @@ def apply_retrieval(state: qsim.StateVector, n: int) -> qsim.StateVector:
 
 
 def _given_or_built(
-    memory: PatternMemory, input_pattern: BitString, state: Optional[qsim.StateVector]
-) -> qsim.StateVector:
+    memory: PatternMemory, input_pattern: BitString, state: Optional[qsim.State]
+) -> qsim.State:
     if state is None:
         return retrieval_state(memory, input_pattern)
     _check_input(memory, input_pattern)
@@ -259,7 +252,7 @@ def retrieve_exact_from_circuit(
     memory: PatternMemory,
     input_pattern: BitString,
     *,
-    state: Optional[qsim.StateVector] = None,
+    state: Optional[qsim.State] = None,
 ) -> RetrievalOutcome:
     """Control-qubit marginal read directly off the simulated final state.
 
@@ -280,7 +273,7 @@ def retrieve_circuit(
     shots: int,
     rng_seed: int,
     *,
-    state: Optional[qsim.StateVector] = None,
+    state: Optional[qsim.State] = None,
 ) -> Tuple[RetrievalOutcome, Dict[int, int]]:
     """Shot-sampled retrieval: measure the control qubit `shots` times.
 

@@ -73,14 +73,15 @@ def test_pqm_rejects_nonpositive_shots(memory_file, capsys):
         assert out == ""  # rejected before any retrieval ran
 
 
-def test_pqm_capacity_exit_code(tmp_path, capsys):
+def test_pqm_circuit_runs_past_ten_bits(tmp_path, capsys):
     path = tmp_path / "memory.txt"
-    path.write_text("0" * 12 + "\n")
-    for extra in (["--circuit"], ["--shots", "3"]):
+    path.write_text("0" * 12 + "\n" + "01" * 6 + "\n")
+    for extra, line in ((["--circuit"], "circuit_p0=0.750000 circuit_p1=0.250000 "),
+                        (["--shots", "3"], "shots=3 ")):
         code, out, err = run(capsys, "pqm", str(path), "0" * 12, *extra)
-        assert code == 2
-        assert "error" in err
-        assert out == ""  # rejected before the analytic line is printed
+        assert (code, err) == (0, "")
+        assert out.startswith("p0=0.750000 p1=0.250000\n")
+        assert line in out
 
 
 def test_pqm_missing_file(capsys):
@@ -102,15 +103,14 @@ def test_pqm_parse_error_line_number(tmp_path, capsys):
     assert f"{path}: no patterns" in err
 
 
-# the p0 and circuit lines were recorded before the qsim kernels moved to block
-# views and the retrieval circuit fused each CNOT+X pair, the shot line when
-# every shot came to read one generator stream; a change to any kernel's bits
+# the circuit lines read the sparse retrieval state, whose marginal sums its
+# rows in basis-index order; a change to any kernel's bits or to that order
 # moves the circuit p0, the difference or the shot counts, and a change to the
 # shot stream (which draw of default_rng(seed) shot i reads) moves the counts
 PQM_GOLDEN = [
     (["011010", "110001", "011010", "101111", "000100"], "101101",
      "p0=0.413397 p1=0.586603\n"
-     "circuit_p0=0.413397 circuit_p1=0.586603 difference=5.551e-17\n"
+     "circuit_p0=0.413397 circuit_p1=0.586603 difference=1.110e-16\n"
      "shots=300 freq0=0.423333 counts0=127 counts1=173\n"),
     (["10110010", "01101101", "11110000", "00011011", "10101010", "01010101",
       "11001100"], "10011010",

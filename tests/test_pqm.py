@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from qnnae import cli, evaluate, pqm, qsim
 from qnnae.pqm import (
     BitString,
-    CapacityError,
     PatternMemory,
     hamming_distance,
     prepare_memory_state,
@@ -30,7 +29,9 @@ def brute_force_p0(patterns, input_bits):
     return total / len(patterns)
 
 
-bit_strings = st.integers(1, 6).flatmap(
+# widths from 30 bits up spread the 2n+1 qubits of the retrieval circuit over
+# more than one 64-bit word of a sparse state's rows
+bit_strings = st.one_of(st.integers(1, 6), st.integers(30, 70)).flatmap(
     lambda n: st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=8).map(
         lambda ps: (n, ps)
     )
@@ -157,14 +158,18 @@ def test_circuit_agrees_with_analytic(case, rnd):
     memory = PatternMemory(BitString(p) for p in patterns)
     input_bits = BitString([rnd.randint(0, 1) for _ in range(n)])
     analytic = retrieve_analytic(memory, input_bits)
-    circuit = retrieve_exact_from_circuit(memory, input_bits)
+    state = retrieval_state(memory, input_bits)
+    assert len(state.amplitudes) <= 2 * len(set(memory.patterns))
+    circuit = retrieve_exact_from_circuit(memory, input_bits, state=state)
     assert abs(circuit.p0 - analytic.p0) <= 1e-9
 
 
-def test_circuit_capacity_limit():
-    memory = PatternMemory.from_strings(["0" * 12])
-    with pytest.raises(CapacityError):
-        retrieve_exact_from_circuit(memory, BitString.from_string("0" * 12))
+def test_circuit_runs_past_ten_bits():
+    rng = np.random.default_rng(12)
+    for n in (11, 12, 360):
+        memory, probe = random_memory(rng, n)
+        circuit = retrieve_exact_from_circuit(memory, probe)
+        assert abs(circuit.p0 - retrieve_analytic(memory, probe).p0) <= 1e-12
 
 
 def test_shots_degenerate_cases():
@@ -202,7 +207,8 @@ def random_memory(rng, n):
 def test_shots_read_one_generator_stream(n, shots):
     """Shot i reads the i-th double of default_rng(seed) against the marginal's
     p1' = fl(sqrt(p1)**2): the counts are exactly the tally of those draws, and
-    the same as measuring a copy of the whole state per shot from that stream."""
+    the same as measuring a copy of the whole dense state per shot from that
+    stream."""
     rng = np.random.default_rng(n)
     for trial in range(4 if n <= 5 else 2):
         memory, probe = random_memory(rng, n)
@@ -212,23 +218,32 @@ def test_shots_read_one_generator_stream(n, shots):
         ones = int(np.count_nonzero(np.random.default_rng(seed).random(shots) < math.sqrt(p1) ** 2))
         expected = {0: shots - ones, 1: ones}
         gen = np.random.default_rng(seed)
-        copies = [qsim.measure_qubit(state.copy(), 2 * n, gen)[0] for _ in range(shots)]
+        dense = pqm.apply_retrieval(dense_initial_state(memory, probe), n)
+        copies = [qsim.measure_qubit(dense.copy(), 2 * n, gen)[0] for _ in range(shots)]
         assert {0: copies.count(0), 1: copies.count(1)} == expected
         out, counts = retrieve_circuit(memory, probe, shots, seed)
         assert counts == expected
         assert (out.p0, out.p1) == (expected[0] / shots, expected[1] / shots)
 
 
-def test_shots_trace_less_than_one_state_copy():
-    memory, probe = random_memory(np.random.default_rng(8), 8)
+def test_shots_copy_no_state():
+    """Traced, 5,000 shots peak less than a byte per shot above 50 shots, and
+    below the bytes of the state they read."""
+    rng = np.random.default_rng(8)
+    memory = PatternMemory(BitString(rng.integers(0, 2, 360)) for _ in range(64))
+    probe = BitString(rng.integers(0, 2, 360))
     state = retrieval_state(memory, probe)
-    tracemalloc.start()
-    try:
-        retrieve_circuit(memory, probe, 50, 3, state=state)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < state.amplitudes.nbytes  # 2 MiB at n=8
+    retrieve_circuit(memory, probe, 1, 3, state=state)  # lazy set-up outside the trace
+    peaks = []
+    for shots in (50, 5000):
+        tracemalloc.start()
+        try:
+            retrieve_circuit(memory, probe, shots, 3, state=state)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 5000 - 50
+    assert peaks[1] < state.rows.nbytes + state.amplitudes.nbytes  # 14 KiB
 
 
 def test_shot_marginal_is_within_one_ulp_of_p1(monkeypatch):
@@ -254,13 +269,19 @@ def test_shot_marginal_is_within_one_ulp_of_p1(monkeypatch):
             assert abs(measured[0] - p1) <= math.ulp(p1)
 
 
-def documented_retrieval_state(memory, probe):
-    """The retrieval circuit as documented: every CNOT(input -> memory) then X(memory)."""
+def dense_initial_state(memory, probe):
+    """The retrieval circuit's starting state in all 2^(2n+1) amplitudes."""
     n = memory.pattern_length
     amps = np.zeros(2 ** (2 * n + 1), dtype=complex)
     memory_index = np.arange(2**n) << n
     amps[probe.to_index() + memory_index] = prepare_memory_state(memory).amplitudes
-    state = qsim.StateVector(2 * n + 1, amps)
+    return qsim.StateVector(2 * n + 1, amps)
+
+
+def documented_retrieval_state(memory, probe):
+    """The retrieval circuit as documented: every CNOT(input -> memory) then X(memory)."""
+    n = memory.pattern_length
+    state = dense_initial_state(memory, probe)
     for j in range(n):
         qsim.apply_cnot(state, j, n + j)
         qsim.apply_x(state, n + j)
@@ -275,13 +296,28 @@ def documented_retrieval_state(memory, probe):
     return state
 
 
+def sparse_to_dense(state):
+    amps = np.zeros(2**state.num_qubits, dtype=complex)
+    for row, amp in zip(state.rows, state.amplitudes):
+        amps[int.from_bytes(row.astype("<u8").tobytes(), "little")] = amp
+    return amps
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_fused_circuit_matches_documented_gates(n):
     rng = np.random.default_rng(40 + n)
     for trial in range(4):
         memory, probe = random_memory(rng, n)
-        fused = retrieval_state(memory, probe).amplitudes.tobytes()
-        assert fused == documented_retrieval_state(memory, probe).amplitudes.tobytes()
+        fused = pqm.apply_retrieval(dense_initial_state(memory, probe), n)
+        documented = documented_retrieval_state(memory, probe)
+        assert fused.amplitudes.tobytes() == documented.amplitudes.tobytes()
+        # the program's sparse state: a phase may round an amplitude an ulp
+        # apart from the dense kernel (see tests/test_qsim.py)
+        sparse = retrieval_state(memory, probe)
+        assert len(sparse.amplitudes) <= 2 * len(set(memory.patterns))
+        got = sparse_to_dense(sparse)
+        assert np.count_nonzero(got) == len(sparse.amplitudes)
+        assert np.max(np.abs(got - documented.amplitudes)) <= 8 * np.finfo(float).eps
 
 
 def test_given_state_matches_built_state():
@@ -289,14 +325,15 @@ def test_given_state_matches_built_state():
     for n in (1, 3, 4):
         memory, probe = random_memory(rng, n)
         state = retrieval_state(memory, probe)
-        before = state.amplitudes.copy()
+        before = state.rows.copy(), state.amplitudes.copy()
         assert retrieve_exact_from_circuit(memory, probe, state=state) == (
             retrieve_exact_from_circuit(memory, probe)
         )
         assert retrieve_circuit(memory, probe, 80, 5, state=state) == (
             retrieve_circuit(memory, probe, 80, 5)
         )
-        assert np.array_equal(state.amplitudes, before)  # only read
+        assert np.array_equal(state.rows, before[0])  # only read
+        assert np.array_equal(state.amplitudes, before[1])
 
 
 def test_given_state_of_wrong_width_rejected():
