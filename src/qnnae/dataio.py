@@ -45,6 +45,20 @@ class Dataset:
             raise ValueError("need at least 2 classes")
         if not self.label_names:
             self.label_names = tuple(str(c) for c in range(self.num_classes))
+        # `write_csv` writes these and `load_csv` must read back the same strings
+        if len(self.label_names) != self.num_classes:
+            raise ValueError(f"{len(self.label_names)} label names for {self.num_classes} classes")
+        for name in self.label_names:
+            if not isinstance(name, str) or not name or name != name.strip():
+                raise ValueError(
+                    f"label name {name!r} must be a non-empty str without surrounding whitespace"
+                )
+            try:
+                name.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"label name {name!r} is not UTF-8 text") from None
+        if len(set(self.label_names)) != self.num_classes:
+            raise ValueError(f"label names {self.label_names!r} repeat")
         if not self.feature_names:
             self.feature_names = tuple(f"f{i + 1}" for i in range(self.num_features))
         if len(self.feature_names) != self.num_features:
@@ -75,14 +89,17 @@ class Dataset:
 
 
 def _check_column_names(names: Sequence[str]) -> None:
-    """ValueError unless every name is non-empty, prints on one line and is
-    used once: messages name columns, and a CSV header must read back."""
+    """ValueError unless every name is non-empty, prints on one line, has no
+    surrounding whitespace and is used once: messages name columns, and a CSV
+    header, whose cells `load_csv` strips, must read back."""
     seen = set()
     for i, name in enumerate(names, start=1):
         if not name:
             raise ValueError(f"column {i} has no name")
         if not name.isprintable():
             raise ValueError(f"column name {name!r} does not print")
+        if name != name.strip():
+            raise ValueError(f"column name {name!r} has surrounding whitespace")
         if name in seen:
             raise ValueError(f"repeated column name {name!r}")
         seen.add(name)

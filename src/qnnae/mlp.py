@@ -14,6 +14,7 @@ search sets the step.
 """
 from __future__ import annotations
 
+import collections
 import enum
 import math
 from dataclasses import dataclass
@@ -450,20 +451,18 @@ def train_batch(
 
     n_rows = len(w)
     loss, grad = batched_loss_and_grad(arch, w, x, y, config.l2_alpha)
-    gnorm_sq = _row_dots(grad, grad)
     reason = np.full(n_rows, _RUNNING, dtype=np.int8)
     iterations = np.zeros(n_rows, dtype=np.int64)
     # forward state of each row's accepted step, for the gradient call
     hidden = np.empty((n_rows, len(x), arch.hidden_neurons))
     z = np.empty((n_rows, len(x), arch.output_dim))
-    # slot k % HISTORY holds iteration k's step s and gradient change y for
-    # every row; rho = 1/(s.y), or 0 where the slot is empty or its s.y <= 0
-    s_hist = np.zeros((HISTORY, n_rows, w.shape[1]))
-    y_hist = np.zeros((HISTORY, n_rows, w.shape[1]))
-    rho = np.zeros((HISTORY, n_rows))
+    # one (s, y, rho) per iteration for the whole stack: the step, the gradient
+    # change and 1/(s.y); s = y = 0 where a row took no step, rho = 0 where s.y <= 0
+    pairs = collections.deque(maxlen=HISTORY)
     gamma = np.full(n_rows, config.learning_rate)  # s.y / y.y of the newest kept pair
     # pass k first judges the state after k steps; pass max_iter only judges
     for k in range(config.max_iter + 1):
+        gnorm_sq = _row_dots(grad, grad)
         running = reason == _RUNNING
         reason[running & (np.sqrt(gnorm_sq) < config.tolerance)] = StopReason.TOLERANCE
         # divergence overrides; a non-finite gradient entry makes the squared
@@ -474,22 +473,21 @@ def train_batch(
         if searching.size == 0 or k == config.max_iter:
             break
         # two-loop recursion over the whole stack, newest pair first
-        slots = [(k - 1 - i) % HISTORY for i in range(min(k, HISTORY))]
         d = grad.copy()
         alphas = []
-        for j in slots:
-            alphas.append(rho[j] * _row_dots(s_hist[j], d))
-            d -= alphas[-1][:, None] * y_hist[j]
+        for s_i, y_i, rho_i in reversed(pairs):
+            alphas.append(rho_i * _row_dots(s_i, d))
+            d -= alphas[-1][:, None] * y_i
         d *= gamma[:, None]
-        for j, alpha in zip(reversed(slots), reversed(alphas)):
-            d += (alpha - rho[j] * _row_dots(y_hist[j], d))[:, None] * s_hist[j]
+        for (s_i, y_i, rho_i), alpha in zip(pairs, reversed(alphas)):
+            d += (alpha - rho_i * _row_dots(y_i, d))[:, None] * s_i
         np.negative(d, out=d)
         slope = _row_dots(grad, d)
         uphill = running & ~(np.isfinite(slope) & (slope < 0.0))
         if uphill.any():  # no finite descent direction: step along -g instead
             d[uphill] = -grad[uphill]
             slope[uphill] = -gnorm_sq[uphill]
-        slot = k % HISTORY
+        s = np.zeros_like(w)
         step = np.ones(n_rows)
         rows = searching
         while rows.size:
@@ -500,15 +498,14 @@ def train_batch(
             loss_try, hidden_try, z_try = batched_loss(arch, w_try, x, y, config.l2_alpha)
             ok = np.isfinite(loss_try) & (loss_try <= loss[sel] + 1e-4 * step[sel] * slope[sel])
             acc = rows[ok]
-            w[acc], loss[acc], hidden[acc], z[acc], s_hist[slot, acc] = (
+            w[acc], loss[acc], hidden[acc], z[acc], s[acc] = (
                 w_try[ok], loss_try[ok], hidden_try[ok], z_try[ok], s_try[ok])
             rows = rows[~ok]
             step[rows] *= 0.5
             gone = step[rows] < 1e-14  # no Armijo step left to try
             reason[rows[gone]] = StopReason.EXHAUSTED
             rows = rows[~gone]
-        running = reason == _RUNNING  # every row still running took a step
-        stepped = np.flatnonzero(running)
+        stepped = np.flatnonzero(reason == _RUNNING)  # every row still running took a step
         if stepped.size == 0:
             continue
         iterations[stepped] += 1
@@ -516,14 +513,12 @@ def train_batch(
         _, grad_new = batched_loss_and_grad(
             arch, w[sel], x, y, config.l2_alpha, forward=(loss[sel], hidden[sel], z[sel])
         )
-        gnorm_new = _row_dots(grad_new, grad_new)
-        y_hist[slot, sel] = grad_new - grad[sel]
-        grad[sel], gnorm_sq[sel] = grad_new, gnorm_new
-        # keep the pairs with positive curvature of the rows that stepped;
-        # the other rows' entries in this slot are stale and get rho 0
-        sy = _row_dots(s_hist[slot], y_hist[slot])
-        kept = running & (sy > 0.0)
-        rho[slot] = np.where(kept, 1.0 / sy, 0.0)
-        np.divide(sy, _row_dots(y_hist[slot], y_hist[slot]), out=gamma, where=kept)
+        y_step = np.zeros_like(w)
+        y_step[sel] = grad_new - grad[sel]
+        grad[sel] = grad_new
+        sy = _row_dots(s, y_step)
+        kept = sy > 0.0
+        np.divide(sy, _row_dots(y_step, y_step), out=gamma, where=kept)
+        pairs.append((s, y_step, np.where(kept, 1.0 / sy, 0.0)))
     reason[reason == _RUNNING] = StopReason.MAX_ITER
     return TrainResult(w, reason == StopReason.DIVERGED, reason, iterations)

@@ -1,9 +1,12 @@
 """Dataset loading, splitting, and synthetic generator tests."""
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qnnae import dataio
 from qnnae.dataio import Dataset, SplitSpec, load_csv, make_synthetic, split, write_csv
@@ -159,12 +162,73 @@ def test_roundtrip_quotes_a_label_holding_a_carriage_return(tmp_path):
     (("x", "x"), "repeated column name 'x'"),
     (("", "x"), "column 1 has no name"),
     (("x", "y\nz"), "column name 'y\\nz' does not print"),
+    ((" x", "y "), "column name ' x' has surrounding whitespace"),
 ])
 def test_dataset_refuses_feature_names_a_header_cannot_hold(tmp_path, names, message):
     # write_csv heads the features with these names and the labels with
     # `label`; load_csv would refuse the header
     with pytest.raises(ValueError, match=re.escape(message)):
         Dataset(np.zeros((2, 2)), [0, 1], 2, feature_names=names)
+
+
+@pytest.mark.parametrize("label_names, message", [
+    (("a",), "1 label names for 2 classes"),
+    (("a", "b", "c"), "3 label names for 2 classes"),
+    ((0, 1), "label name 0 must be a non-empty str"),
+    (("a", ""), "label name '' must be a non-empty str"),
+    (("a", " a"), "label name ' a' must be a non-empty str without surrounding whitespace"),
+    ((" a", "b"), "label name ' a' must be a non-empty str without surrounding whitespace"),
+    (("a", "b\ud800"), "label name 'b\\ud800' is not UTF-8 text"),
+    (("a", "a"), "label names ('a', 'a') repeat"),
+])
+def test_dataset_refuses_label_names_that_do_not_read_back(label_names, message):
+    # write_csv would crash on them, drop one, or write a file that load_csv
+    # refuses or reads back with other names
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Dataset(np.zeros((4, 1)), [0, 1, 0, 1], 2, label_names=label_names)
+
+
+# Python 3.10's csv reader refuses a NUL character in any field
+ANY_CHARACTER = st.characters(exclude_characters="\x00" if sys.version_info < (3, 11) else "")
+# names that need quoting; a label may also hold a line break or be `label`,
+# but not a lone surrogate, which UTF-8 cannot encode
+QUOTED_NAMES = ["a b", "a,b", '"q"']
+FEATURE_NAME = st.one_of(st.text(st.characters(categories=["L", "N", "P", "S", "Zs"]),
+                                 min_size=1, max_size=4), st.sampled_from(QUOTED_NAMES))
+LABEL_NAME = st.one_of(st.text(ANY_CHARACTER, min_size=1, max_size=4),
+                       st.sampled_from(QUOTED_NAMES + ["x\ry", "d\ne", "label", "b\udc80"]))
+
+
+@st.composite
+def constructible_datasets(draw):
+    """A Dataset built from drawn names and values, with classes 0 and 1 among
+    its rows, as a loadable file needs two; drawings it refuses are skipped."""
+    num_features, num_classes = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    labels = draw(st.permutations(
+        [0, 1] + draw(st.lists(st.integers(0, num_classes - 1), max_size=4))))
+    features = draw(hnp.arrays(np.float64, (len(labels), num_features),
+                               elements=st.floats(allow_nan=False, allow_infinity=False)))
+    label_names = tuple(draw(st.lists(LABEL_NAME, min_size=num_classes, max_size=num_classes,
+                                      unique=True)))
+    feature_names = tuple(draw(st.lists(FEATURE_NAME, min_size=num_features,
+                                        max_size=num_features, unique=True)))
+    try:
+        return Dataset(features, labels, num_classes, label_names=label_names,
+                       feature_names=feature_names)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(constructible_datasets())
+def test_any_dataset_that_constructs_reads_back(tmp_path_factory, ds):
+    path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
+    write_csv(ds, path)
+    reloaded = load_csv(path)
+    assert reloaded.feature_names == ds.feature_names
+    assert np.array_equal(reloaded.features, ds.features)
+    assert ([reloaded.label_names[i] for i in reloaded.labels]
+            == [ds.label_names[i] for i in ds.labels])
 
 
 def test_label_column_anywhere(tmp_path):

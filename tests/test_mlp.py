@@ -893,6 +893,15 @@ def test_train_batch_stops_on_the_tolerance_reached_at_max_iter():
             assert np.array_equal(got[0], free[0])
 
 
+def assert_tolerance_stops_match_the_gradient(arch, result, x, y, cfg):
+    """Every row that did not diverge stopped on the tolerance exactly when the
+    gradient norm at its returned weights is below the tolerance."""
+    finite = ~result[1]
+    grad = mlp.batched_loss_and_grad(arch, result[0][finite], x, y, cfg.l2_alpha)[1]
+    below = np.sqrt(np.einsum("sw,sw->s", grad, grad)) < cfg.tolerance
+    assert np.array_equal(result.stop_reason[finite] == mlp.StopReason.TOLERANCE, below)
+
+
 def test_train_batch_rows_independent_of_stack_size_with_mixed_stop_reasons():
     # rows stopped on the tolerance, at max_iter, on an exhausted line search
     # and on divergence share a stack; each trains to the bits it has alone
@@ -901,6 +910,7 @@ def test_train_batch_rows_independent_of_stack_size_with_mixed_stop_reasons():
     cfg = TrainConfig(max_iter=150, tolerance=1e-3)
     together = mlp.train_batch(arch, stack, x, y, cfg)
     assert set(together.stop_reason.tolist()) == set(mlp.StopReason)
+    assert_tolerance_stops_match_the_gradient(arch, together, x, y, cfg)
     for i in range(len(stack)):
         alone = mlp.train_batch(arch, stack[i : i + 1], x, y, cfg)
         assert np.array_equal(alone[0][0], together[0][i])
@@ -919,6 +929,7 @@ def test_train_batch_trains_xor_rows_to_the_tolerance():
     reasons = np.bincount(result.stop_reason, minlength=len(mlp.StopReason))
     assert reasons[mlp.StopReason.TOLERANCE] >= 0.9 * len(stack)
     assert reasons[mlp.StopReason.MAX_ITER] == 0
+    assert_tolerance_stops_match_the_gradient(arch, result, (x - mean) / scale, y, TrainConfig())
 
 
 def test_train_batch_flags_rows_whose_gradient_norm_overflows():
