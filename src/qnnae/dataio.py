@@ -149,12 +149,27 @@ def content_lines(path) -> Iterator[Tuple[int, str]]:
                 yield lineno, line
 
 
+def _csv_records(path, reader) -> Iterator[List[str]]:
+    """The records of a `csv.reader`; a record it cannot parse (a field over
+    its size limit, or a NUL character before Python 3.11) is a ValueError
+    naming the file line."""
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        yield row
+
+
 def load_csv(path) -> Dataset:
     """Parse the documented CSV schema; malformed rows are reported by line number."""
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
+        records = _csv_records(path, reader)
         try:
-            header = next(reader)
+            header = next(records)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
@@ -172,7 +187,7 @@ def load_csv(path) -> Dataset:
 
         rows: List[List[float]] = []
         raw_labels: List[str] = []
-        for row in reader:
+        for row in records:
             if not row:
                 continue
             # the file line the record ends on; a quoted field may span lines

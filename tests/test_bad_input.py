@@ -134,6 +134,11 @@ def csv_case(argv, data=GOOD_CSV, name="data.csv"):
 @example(csv_case(["evaluate", "--hidden=2", "--exhaustive", "--levels=1e308,-1e308",
                    "--activation=relu"]))
 @example(csv_case(["evaluate", "--hidden=2", "--samples=3", "--alpha=1e300"]))
+# a field over the csv module's size limit, and a NUL character, which
+# Python 3.10's csv reader refuses
+@example(csv_case(["evaluate", "--hidden=1", "--samples=1"],
+                  data=GOOD_CSV + b"1,2," + b"a" * 200_000 + b"\n"))
+@example(csv_case(["evaluate", "--hidden=1", "--samples=1"], data=GOOD_CSV + b"1,2\x00,a\n"))
 def test_bad_input_ends_in_an_exit_code_and_one_error_line(case):
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in case["files"].items():

@@ -321,6 +321,20 @@ def test_repeated_label_column_exits_1(tmp_path, capsys):
     assert err == f"error: {path}:1: repeated column name 'label'\n"
 
 
+@pytest.mark.parametrize("record, message", [
+    ("2," + "b" * 200_000, "field larger than field limit (131072)"),
+    # Python 3.10's csv reader refuses a NUL character; later ones keep it in the field
+    ("2\x00,b", "line contains NUL" if sys.version_info < (3, 11)
+     else "non-numeric feature '2\\x00' in column f1"),
+], ids=["field-over-the-csv-limit", "nul-character"])
+def test_unparsable_csv_record_exits_1_naming_its_line(tmp_path, capsys, record, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f1,label\n1,a\n{record}\n3,b\n")
+    code, out, err = run(capsys, "evaluate", str(path), "--hidden", "1", "--samples", "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}:3: {message}\n"
+
+
 def test_out_of_memory_is_a_resource_error(xor_csv, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise MemoryError("Unable to allocate 21.8 TiB")

@@ -792,8 +792,9 @@ def test_train_batch_matches_lbfgs_reference(output_dim, activation, monkeypatch
 
 
 def test_train_batch_kernels_see_whole_stacks_and_subsets(monkeypatch):
-    # train_batch selects the whole stack by a slice and fewer rows by an
-    # index array; across the reference cases each kernel takes both
+    # the kernels take the whole working set, which shrinks as rows stop, and
+    # halvings take the rows that failed the unit step; across the reference
+    # cases each kernel takes both the whole stack and fewer rows
     seen = {name: set() for name in KERNELS}
     for output_dim, activation in REFERENCE_CASES:
         arch, x, y, stack = _training_problem(output_dim, activation, rows=6)
@@ -961,3 +962,94 @@ def test_train_batch_validates_inputs():
         stack = np.stack([init_weights(arch, s) for s in range(2)])
         with pytest.raises(ValueError, match=message):
             mlp.train_batch(arch, stack, x, y)
+
+
+# ---------------------------------------------------------------------------
+# the working set: at most `window` rows train at once
+# ---------------------------------------------------------------------------
+
+def _kernel_evaluations(monkeypatch):
+    """Wrap both kernels (over whatever they are now); every row of every
+    call as (kernel, weight bytes) in call order, and each call's size."""
+    evaluations, sizes = [], []
+    for name in KERNELS:
+        def recording(arch, w, *args, _kernel=getattr(mlp, name), _name=name, **kwargs):
+            sizes.append(len(w))
+            evaluations.extend((_name, row.tobytes()) for row in w)
+            return _kernel(arch, w, *args, **kwargs)
+
+        monkeypatch.setattr(mlp, name, recording)
+    return evaluations, sizes
+
+
+def _faulty_gradients(monkeypatch, fault):
+    """Patch the gradient kernel: "overflow" gives every row whose loss drops
+    below 0.8 an infinite gradient entry, so rows diverge after steps, and
+    "signed_zero" makes gradient entry 0 -0.0."""
+    kernel = mlp.batched_loss_and_grad
+
+    def faulty(arch, w, x, y, l2_alpha, **kwargs):
+        loss, grad = kernel(arch, w, x, y, l2_alpha, **kwargs)
+        if fault == "overflow":
+            grad[loss < 0.8, 0] = np.inf
+        else:
+            grad[:, 0] = -0.0
+        return loss, grad
+
+    monkeypatch.setattr(mlp, "batched_loss_and_grad", faulty)
+
+
+@pytest.mark.parametrize("output_dim, fault", [
+    (1, None), (3, None), (3, "overflow"), (1, "signed_zero")])
+def test_train_batch_window_trains_each_row_as_alone(output_dim, fault, monkeypatch):
+    # Rows that stop on every StopReason share a stack.  Through a window of
+    # 1, 3 or all of its rows, each row trains to the bits it has alone:
+    # tobytes, since np.array_equal takes -0.0 for 0.0, and an entering row's
+    # zero history must leave a -0.0 in its direction as it is.  Each row's
+    # kernel evaluations, in order, are those of its own call, so none comes
+    # after it stopped, and the kernels' row totals are the reference's.
+    arch, x, y, stack = _training_problem(output_dim, "relu", rows=8)
+    stack[5] = 1e300  # the starting loss overflows
+    if fault == "signed_zero":
+        stack[:, 0] = -0.0
+    cfg = TrainConfig(max_iter=150, tolerance=1e-3)
+    if fault is not None:
+        _faulty_gradients(monkeypatch, fault)
+    with np.errstate(all="ignore"), monkeypatch.context() as m:
+        reference_calls = _recording_kernels(m)
+        reference_train_batch(arch, stack, x, y, cfg)
+    alone, evaluations_alone = [], []
+    with np.errstate(all="ignore"), monkeypatch.context() as m:
+        evaluations, _ = _kernel_evaluations(m)
+        for i in range(len(stack)):
+            first = len(evaluations)
+            alone.append(mlp.train_batch(arch, stack[i : i + 1], x, y, cfg))
+            evaluations_alone.append(evaluations[first:])
+    want = [np.concatenate([result[0] for result in alone])] + [
+        np.concatenate([getattr(result, name) for result in alone])
+        for name in ("stop_reason", "iterations")]
+    assert set(want[1].tolist()) == set(mlp.StopReason)
+    if fault == "overflow":  # some rows diverge after steps, not at the start
+        assert ((want[1] == mlp.StopReason.DIVERGED) & (want[2] > 0)).any()
+    owner = {weights: i for i, rows in enumerate(evaluations_alone) for _, weights in rows}
+    for window in (1, 3, len(stack)):
+        with np.errstate(all="ignore"), monkeypatch.context() as m:
+            evaluations, sizes = _kernel_evaluations(m)
+            got = mlp.train_batch(arch, stack, x, y, cfg, window=window)
+        for got_part, want_part in zip((got[0], got.stop_reason, got.iterations), want):
+            assert got_part.dtype == want_part.dtype
+            assert got_part.tobytes() == want_part.tobytes(), window
+        assert np.array_equal(got[1], want[1] == mlp.StopReason.DIVERGED)
+        assert max(sizes) <= window
+        per_row = [[] for _ in stack]
+        for kernel, weights in evaluations:
+            per_row[owner[weights]].append((kernel, weights))
+        assert per_row == evaluations_alone, window
+        for name in KERNELS:
+            assert sum(kernel == name for kernel, _ in evaluations) == len(reference_calls[name])
+
+
+def test_train_batch_rejects_an_empty_window():
+    arch, x, y, stack = _training_problem(1, "logistic", rows=2)
+    with pytest.raises(ValueError, match="window must be >= 1, got 0"):
+        mlp.train_batch(arch, stack, x, y, window=0)
