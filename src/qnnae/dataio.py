@@ -153,14 +153,10 @@ def _csv_records(path, reader) -> Iterator[List[str]]:
     """The records of a `csv.reader`; a record it cannot parse (a field over
     its size limit, or a NUL character before Python 3.11) is a ValueError
     naming the file line."""
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-        yield row
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def load_csv(path) -> Dataset:

@@ -31,13 +31,10 @@ DEFAULT_NUM_SAMPLES = 1000
 DEFAULT_GRID_BUDGET = 3**12
 DEFAULT_GRID_LEVELS = (-1.0, 0.0, 1.0)
 DEFAULT_HIDDEN_RANGE = (1, 20)
-# models trained at once: `train_batch`'s window
+# models trained together per vectorized chunk
 TRAIN_CHUNK = 64
-# bound on the weights handed to one `train_batch` call, so a trained grid's
-# points are made a block at a time: 104,857 rows at 5 weights, 4,481 at 117
-TRAIN_BLOCK_BYTES = 2**22
-# bound on the largest buffer of a chunk's classification, its (rows, t_s,
-# max(h, o)) float64 hidden or output layer: 182 rows at t_s=360, h=2
+# bound on the largest buffer of an untrained chunk's classification, its
+# (rows, t_s, max(h, o)) float64 hidden or output layer: 182 rows at t_s=360, h=2
 CLASSIFY_CHUNK_BYTES = 2**20
 
 
@@ -200,17 +197,13 @@ def evaluate_weight_list(
 
     `weights` is read only through `len(weights)` and `weights[a:b]`, so an
     (S, weight_count) array, a list of rows and a `WeightGrid` all serve, and
-    a grid makes its points one block at a time.  Training hands
-    `train_batch` blocks of at most TRAIN_BLOCK_BYTES of weights, so an
-    architecture's sampled rows go in one call unless they take more, and
-    `train_batch` trains TRAIN_CHUNK rows at a time.  Rows are classified in
-    chunks of as many rows as keep the classification's largest buffer
-    within CLASSIFY_CHUNK_BYTES; an untrained block is one such chunk.  Both
-    splits are standardized once, here, and `mlp` trains and classifies them
-    as given.  The final reduction runs in sample order.  Each network is
-    reduced to its number of validation misses; diverged trainings are
-    excluded from the memory and counted.  `split_spec` defaults to
-    `SplitSpec(seed=seed)`.
+    a grid makes its points one chunk at a time.  Training runs on stacks of
+    TRAIN_CHUNK models; an untrained chunk holds as many rows as keep its
+    classification's largest buffer within CLASSIFY_CHUNK_BYTES.  Both splits
+    are standardized once, here, and `mlp` trains and classifies them as given.
+    The final reduction runs in sample order.  Each network is reduced to its
+    number of validation misses; diverged trainings are excluded from the
+    memory and counted.  `split_spec` defaults to `SplitSpec(seed=seed)`.
     """
     x_train, y_train, x_val, y_val, mean, scale = standardized_splits(
         dataset, split_spec or SplitSpec(seed=seed)
@@ -218,25 +211,22 @@ def evaluate_weight_list(
     t_s = len(y_val)
     x_train = (x_train - mean) / scale
     x_val = (x_val - mean) / scale
-    row_bytes = t_s * max(arch.hidden_neurons, arch.output_dim) * 8
-    chunk = max(1, CLASSIFY_CHUNK_BYTES // row_bytes)
-    block = max(1, TRAIN_BLOCK_BYTES // (arch.weight_count * 8)) if train else chunk
+    if train:
+        chunk = TRAIN_CHUNK
+    else:
+        row_bytes = t_s * max(arch.hidden_neurons, arch.output_dim) * 8
+        chunk = max(1, CLASSIFY_CHUNK_BYTES // row_bytes)
 
     chunk_misses = []
     excluded = 0
-    for start in range(0, len(weights), block):
-        stack = np.asarray(weights[start : start + block], dtype=np.float64)
+    for start in range(0, len(weights), chunk):
+        stack = np.asarray(weights[start : start + chunk], dtype=np.float64)
         if train:
-            stack, diverged = mlp.train_batch(
-                arch, stack, x_train, y_train, train_cfg, window=TRAIN_CHUNK
-            )
+            stack, diverged = mlp.train_batch(arch, stack, x_train, y_train, train_cfg)
+            stack = stack[~diverged]
             excluded += int(diverged.sum())
-        for first in range(0, len(stack), chunk):
-            rows = stack[first : first + chunk]
-            if train:
-                rows = rows[~diverged[first : first + chunk]]
-            predicted = mlp.classify(MlpModel(arch, rows), x_val)
-            chunk_misses.append(np.count_nonzero(predicted != y_val, axis=1))
+        predicted = mlp.classify(MlpModel(arch, stack), x_val)
+        chunk_misses.append(np.count_nonzero(predicted != y_val, axis=1))
     misses = np.concatenate(chunk_misses)
     if misses.size == 0:
         raise ValueError("every weight sample diverged; nothing to score")

@@ -409,20 +409,12 @@ def train_batch(
     config: Optional[TrainConfig] = None,
     feature_mean: Optional[np.ndarray] = None,
     feature_scale: Optional[np.ndarray] = None,
-    *,
-    window: Optional[int] = None,
 ) -> TrainResult:
     """Train a stack of models by full-batch L-BFGS with Armijo backtracking.
 
     x is (n, input_dim) with n >= 1 and y holds n labels in [0, num_classes),
     else ValueError; given statistics that pass `_feature_statistics`, x is
     first standardized as (x - feature_mean) / feature_scale.
-    At most `window` rows (default: the whole stack; else >= 1) train at
-    once.  The rows enter in index order: whenever rows stop, the next
-    waiting rows take their places, each with its loss and gradient at its
-    initial weights.  A stopped row's weights are written to the result and
-    the row leaves the working set, so no later pass touches it, and the
-    call returns when no row is running and none is waiting.
     Each row keeps its own history: the direction d is -H g, where H applies
     the pairs (s, y) of the row's last HISTORY steps by the two-loop recursion
     to gamma * g.  gamma starts at `learning_rate` and becomes s.y / y.y of
@@ -431,10 +423,12 @@ def train_batch(
     every running row at t = 1; the rows that fail it share one t, halved
     until loss(w + t d) <= loss(w) + 1e-4 t g.d, and a row still failing
     once t < 1e-14 is given up.  A row stops when its gradient norm falls
-    below `tolerance`, after `max_iter` steps of its own, when its line
-    search gives up, or when it diverges; a row whose last allowed step
-    brings its gradient norm below `tolerance` stops on the tolerance.  A
-    row's result does not depend on the rest of the stack or on `window`.
+    below `tolerance`, after `max_iter` steps, when its line search gives
+    up, or when it diverges; a row whose last allowed step brings its
+    gradient norm below `tolerance` stops on the tolerance.  A stopped row's
+    weights are written to the result and the row leaves the working set,
+    so no later pass touches it.  A row's result does not depend on the
+    rest of the stack.
 
     Returns the final (S, weight_count) weights as a new array, leaving
     `weights` as it was, and a boolean mask of diverged models: those whose
@@ -449,10 +443,6 @@ def train_batch(
     out = np.array(weights, dtype=np.float64)
     if out.ndim != 2 or out.shape[1] != arch.weight_count:
         raise ValueError(f"expected (S, {arch.weight_count}) weight stack")
-    if window is None:
-        window = len(out)
-    elif window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y).reshape(-1)
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
@@ -472,57 +462,32 @@ def train_batch(
     n_rows = len(out)
     reason = np.full(n_rows, _RUNNING, dtype=np.int8)
     iterations = np.zeros(n_rows, dtype=np.int64)
-    # the working set: stack rows `live` (rows [0, entered) have entered), each
-    # with its weights, loss, gradient and gamma (s.y / y.y of its newest kept
-    # pair), and one (s, y, rho) per pass: the step, the gradient change and
-    # 1/(s.y), rho = 0 where s.y <= 0
-    live = np.empty(0, dtype=np.intp)
-    w = np.empty((0, arch.weight_count))
-    grad = np.empty_like(w)
-    loss = np.empty(0)
-    gamma = np.empty(0)
+    # the working set: the stack rows `live` still running, each with its
+    # weights, loss, gradient and gamma (s.y / y.y of its newest kept pair),
+    # and one (s, y, rho) per pass: the step, the gradient change and 1/(s.y),
+    # rho = 0 where s.y <= 0
+    live = np.arange(n_rows)
+    w = out.copy()
+    loss, grad = batched_loss_and_grad(arch, w, x, y, config.l2_alpha)
+    gamma = np.full(n_rows, config.learning_rate)
     pairs = collections.deque(maxlen=HISTORY)
-    entered = 0
-    while True:
-        if live.size < window and entered < n_rows:
-            new = slice(entered, min(n_rows, entered + window - live.size))
-            entered = new.stop
-            new_loss, new_grad = batched_loss_and_grad(arch, out[new], x, y, config.l2_alpha)
-            count = len(new_loss)
-            live = np.concatenate((live, np.arange(new.start, new.stop)))
-            w = np.concatenate((w, out[new]))
-            loss = np.concatenate((loss, new_loss))
-            grad = np.concatenate((grad, new_grad))
-            gamma = np.concatenate((gamma, np.full(count, config.learning_rate)))
-            # an entering row has no history.  Its rows of the stored triples
-            # leave d's bits as they are, -0.0 entries included: alpha = 0 * 0
-            # and d - 0 * y = d, then d + 0 * s = d + -0.0 = d, with s = -0.0
-            pairs = collections.deque(
-                ((np.concatenate((s_i, np.full((count, arch.weight_count), -0.0))),
-                  np.concatenate((y_i, np.zeros((count, arch.weight_count)))),
-                  np.concatenate((rho_i, np.zeros(count))))
-                 for s_i, y_i, rho_i in pairs),
-                maxlen=HISTORY,
-            )
-        # every row still running is judged on the state after its last step
+    # pass k first judges the state after k steps; pass max_iter only judges
+    for k in range(config.max_iter + 1):
         gnorm_sq = _row_dots(grad, grad)
-        verdict = np.full(live.size, _RUNNING, dtype=np.int8)
+        verdict = np.full(live.size, StopReason.MAX_ITER if k == config.max_iter else _RUNNING,
+                          dtype=np.int8)
         verdict[np.sqrt(gnorm_sq) < config.tolerance] = StopReason.TOLERANCE
         # divergence overrides; a non-finite gradient entry makes the squared
         # norm non-finite too
         verdict[~(np.isfinite(loss) & np.isfinite(gnorm_sq))] = StopReason.DIVERGED
-        verdict[(verdict == _RUNNING) & (iterations[live] == config.max_iter)] = (
-            StopReason.MAX_ITER)
         stopped = verdict != _RUNNING
         if stopped.any():
             reason[live[stopped]] = verdict[stopped]
             out[live[stopped]] = w[stopped]
             (live, w, loss, grad, gamma, gnorm_sq), pairs = _kept_rows(
                 ~stopped, (live, w, loss, grad, gamma, gnorm_sq), pairs)
-            if entered < n_rows:
-                continue  # the next rows take the freed places before any step
-        if live.size == 0:
-            break
+            if live.size == 0:
+                break
         # two-loop recursion, newest pair first
         d = grad.copy()
         alphas = []
@@ -538,39 +503,37 @@ def train_batch(
         if uphill.any():  # no finite descent direction: step along -g instead
             d[uphill] = -grad[uphill]
             slope[uphill] = -gnorm_sq[uphill]
-        # the unit step of every row at once; s is each row's accepted step
-        t = 1.0
+        # the unit step of every row at once; s, hidden and z become each
+        # row's accepted step and its forward state as halvings accept rows
         s = d
         w_try = w + s
         loss_try, hidden, z = batched_loss(arch, w_try, x, y, config.l2_alpha)
-        ok = np.isfinite(loss_try) & (loss_try <= loss + 1e-4 * t * slope)
-        if ok.all():
-            w, loss = w_try, loss_try
-        else:
-            w = np.where(ok[:, None], w_try, w)
-            loss = np.where(ok, loss_try, loss)
-            rows = np.flatnonzero(~ok)
-            while rows.size:
-                t *= 0.5
-                if t < 1e-14:  # no Armijo step left to try
-                    break
-                s_try = t * d[rows]
-                w_try = w[rows] + s_try
-                loss_try, hidden_try, z_try = batched_loss(arch, w_try, x, y, config.l2_alpha)
-                ok = np.isfinite(loss_try) & (loss_try <= loss[rows] + 1e-4 * t * slope[rows])
-                acc = rows[ok]
-                w[acc], loss[acc], hidden[acc], z[acc], s[acc] = (
-                    w_try[ok], loss_try[ok], hidden_try[ok], z_try[ok], s_try[ok])
-                rows = rows[~ok]
-            if rows.size:  # the rows left stop where they are
-                reason[live[rows]] = StopReason.EXHAUSTED
-                out[live[rows]] = w[rows]
-                keep = np.ones(live.size, dtype=bool)
-                keep[rows] = False
-                (live, w, loss, grad, gamma, s, hidden, z), pairs = _kept_rows(
-                    keep, (live, w, loss, grad, gamma, s, hidden, z), pairs)
-                if live.size == 0:
-                    continue
+        ok = np.isfinite(loss_try) & (loss_try <= loss + 1e-4 * slope)
+        w = np.where(ok[:, None], w_try, w)
+        loss = np.where(ok, loss_try, loss)
+        rows = np.flatnonzero(~ok)
+        t = 1.0
+        while rows.size:
+            t *= 0.5
+            if t < 1e-14:  # no Armijo step left to try
+                break
+            s_try = t * d[rows]
+            w_try = w[rows] + s_try
+            loss_try, hidden_try, z_try = batched_loss(arch, w_try, x, y, config.l2_alpha)
+            ok = np.isfinite(loss_try) & (loss_try <= loss[rows] + 1e-4 * t * slope[rows])
+            acc = rows[ok]
+            w[acc], loss[acc], hidden[acc], z[acc], s[acc] = (
+                w_try[ok], loss_try[ok], hidden_try[ok], z_try[ok], s_try[ok])
+            rows = rows[~ok]
+        if rows.size:  # the rows left stop where they are
+            reason[live[rows]] = StopReason.EXHAUSTED
+            out[live[rows]] = w[rows]
+            keep = np.ones(live.size, dtype=bool)
+            keep[rows] = False
+            (live, w, loss, grad, gamma, s, hidden, z), pairs = _kept_rows(
+                keep, (live, w, loss, grad, gamma, s, hidden, z), pairs)
+            if live.size == 0:
+                break
         iterations[live] += 1
         _, grad_new = batched_loss_and_grad(
             arch, w, x, y, config.l2_alpha, forward=(loss, hidden, z))

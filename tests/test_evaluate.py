@@ -210,8 +210,8 @@ def test_pipeline_miss_counts_match_performance_vectors(
     spec = SplitSpec(seed=seed)
     real, pipeline_weights = mlp.train_batch, []
 
-    def recording(*args, **kwargs):
-        weights, diverged = real(*args, **kwargs)
+    def recording(*args):
+        weights, diverged = real(*args)
         pipeline_weights.append(weights)
         return weights, diverged
 
@@ -236,8 +236,8 @@ def test_pipeline_miss_counts_match_performance_vectors(
 def test_sampled_excludes_diverged(xor_dataset, monkeypatch):
     real = mlp.train_batch
 
-    def sabotage(arch, stack, x, y, cfg=None, mean=None, scale=None, *, window=None):
-        weights, diverged = real(arch, stack, x, y, cfg, mean, scale, window=window)
+    def sabotage(arch, stack, x, y, cfg=None, mean=None, scale=None):
+        weights, diverged = real(arch, stack, x, y, cfg, mean, scale)
         diverged = diverged.copy()
         diverged[0] = True
         return weights, diverged
@@ -248,29 +248,27 @@ def test_sampled_excludes_diverged(xor_dataset, monkeypatch):
     assert report.num_samples == 3
 
 
-def diverge_rows(monkeypatch, rows):
-    """Patch train_batch so the given (0-based) rows of its one call diverge."""
-    real = mlp.train_batch
+def diverge_on_calls(monkeypatch, calls):
+    """Patch train_batch so every row of the given (0-based) calls diverges."""
+    real, count = mlp.train_batch, [0]
 
-    def sabotage(arch, stack, x, y, cfg=None, mean=None, scale=None, *, window=None):
-        weights, diverged = real(arch, stack, x, y, cfg, mean, scale, window=window)
-        diverged = diverged.copy()
-        diverged[list(rows)] = True
+    def sabotage(arch, stack, x, y, cfg=None, mean=None, scale=None):
+        weights, diverged = real(arch, stack, x, y, cfg, mean, scale)
+        if count[0] in calls:
+            diverged = np.ones_like(diverged)
+        count[0] += 1
         return weights, diverged
 
     monkeypatch.setattr(mlp, "train_batch", sabotage)
 
 
 def test_sampled_excludes_a_wholly_diverged_chunk(xor_dataset, monkeypatch):
-    # rows 4-7 diverge, so the middle 4-row classification chunk holds no
-    # surviving row and classifies an empty (0, W) stack
+    # the middle chunk classifies an empty (0, W) stack
     arch = MlpArchitecture(2, 2, 1)
-    monkeypatch.setattr(evaluate, "CLASSIFY_CHUNK_BYTES", 4 * val_row_bytes(xor_dataset, arch))
+    monkeypatch.setattr(evaluate, "TRAIN_CHUNK", 4)
     whole = evaluate_sampled(arch, xor_dataset, num_samples=12, seed=1)
-    diverge_rows(monkeypatch, range(4, 8))
-    shapes = count_classify_calls(monkeypatch)
+    diverge_on_calls(monkeypatch, {1})
     report = evaluate_sampled(arch, xor_dataset, num_samples=12, seed=1)
-    assert shapes == [(4, arch.weight_count), (0, arch.weight_count), (4, arch.weight_count)]
     assert report.excluded == 4
     assert report.num_samples == 8
     kept = np.r_[0:4, 8:12]
@@ -278,11 +276,10 @@ def test_sampled_excludes_a_wholly_diverged_chunk(xor_dataset, monkeypatch):
 
 
 def test_sampled_every_chunk_diverged(xor_dataset, monkeypatch):
-    arch = MlpArchitecture(2, 2, 1)
-    monkeypatch.setattr(evaluate, "CLASSIFY_CHUNK_BYTES", 4 * val_row_bytes(xor_dataset, arch))
-    diverge_rows(monkeypatch, range(12))
+    monkeypatch.setattr(evaluate, "TRAIN_CHUNK", 4)
+    diverge_on_calls(monkeypatch, {0, 1, 2})
     with pytest.raises(ValueError, match="every weight sample diverged; nothing to score"):
-        evaluate_sampled(arch, xor_dataset, num_samples=12, seed=1)
+        evaluate_sampled(MlpArchitecture(2, 2, 1), xor_dataset, num_samples=12, seed=1)
 
 
 def test_standardization_overflow_names_the_column():
@@ -407,53 +404,35 @@ def count_classify_calls(monkeypatch):
     "case", ["sampled_binary", "sampled_3class", "train_grid", "exhaustive"]
 )
 def test_reports_independent_of_chunk_size(case, xor_dataset, blobs3_dataset, monkeypatch):
-    # a trained report does not depend on train_batch's window (TRAIN_CHUNK),
-    # on the rows one call is handed (TRAIN_BLOCK_BYTES) or on the
-    # classification chunks (CLASSIFY_CHUNK_BYTES); an untrained report does
-    # not depend on its chunks, varied here from one row to the whole grid
-    grid_arch = MlpArchitecture(2, 1, 1)
-    grid = WeightGrid((-1.0, 0.0, 1.0), grid_arch.weight_count)
-    arch, dataset = {
-        "sampled_binary": (MlpArchitecture(2, 2, 1), xor_dataset),
-        "sampled_3class": (MlpArchitecture(2, 2, 3), blobs3_dataset),
-    }.get(case, (grid_arch, xor_dataset))
-    sampled = case.startswith("sampled")
+    # training stacks hold TRAIN_CHUNK networks; untrained chunks are bounded
+    # by CLASSIFY_CHUNK_BYTES, varied here from one row to the whole grid
+    arch = MlpArchitecture(2, 1, 1)
+    grid = WeightGrid((-1.0, 0.0, 1.0), arch.weight_count)
 
     def report_row():
-        if sampled:
-            report = evaluate_sampled(arch, dataset, 20, seed=3)
+        if case == "sampled_binary":
+            report = evaluate_sampled(MlpArchitecture(2, 2, 1), xor_dataset, 20, seed=3)
+        elif case == "sampled_3class":
+            report = evaluate_sampled(MlpArchitecture(2, 2, 3), blobs3_dataset, 20, seed=3)
         else:
             cfg = TrainConfig(max_iter=20)
-            report = evaluate_exhaustive(arch, dataset, grid, case == "train_grid", cfg)
+            report = evaluate_exhaustive(arch, xor_dataset, grid, case == "train_grid", cfg)
         return evaluate.report_csv_row(report)
 
-    n = 20 if sampled else grid.num_points
     if case == "exhaustive":
-        sizes = [(None, k, k) for k in (1, 7, n)]  # an untrained block is one chunk
+        row_bytes = val_row_bytes(xor_dataset, arch)
+        name = "CLASSIFY_CHUNK_BYTES"
+        rows_per_size = {k * row_bytes: k for k in (1, 7, grid.num_points)}
     else:
-        # (window, rows per train_batch call, rows per classification chunk)
-        sizes = [(1, 5, 3), (7, 12, 7), (64, n, n)]
-    real, calls = mlp.train_batch, []
-
-    def recording(arch, stack, *args, window=None):
-        calls.append((len(stack), window))
-        return real(arch, stack, *args, window=window)
-
-    monkeypatch.setattr(mlp, "train_batch", recording)
+        name, rows_per_size = "TRAIN_CHUNK", {7: 7, 64: 64}
+    num_samples = 20 if case.startswith("sampled") else grid.num_points
     shapes = count_classify_calls(monkeypatch)
     reports = []
-    for window, block, chunk in sizes:
-        if window is not None:
-            monkeypatch.setattr(evaluate, "TRAIN_CHUNK", window)
-            monkeypatch.setattr(evaluate, "TRAIN_BLOCK_BYTES", block * arch.weight_count * 8)
-        monkeypatch.setattr(evaluate, "CLASSIFY_CHUNK_BYTES", chunk * val_row_bytes(dataset, arch))
-        calls.clear()
+    for size, chunk_rows in rows_per_size.items():
+        monkeypatch.setattr(evaluate, name, size)
         shapes.clear()
         reports.append(report_row())
-        blocks = [min(block, n - start) for start in range(0, n, block)]
-        assert calls == ([] if window is None else [(rows, window) for rows in blocks])
-        assert [rows for rows, _ in shapes] == [
-            min(chunk, rows - first) for rows in blocks for first in range(0, rows, chunk)]
+        assert len(shapes) == math.ceil(num_samples / chunk_rows)
     assert all(report == reports[0] for report in reports)
 
 
@@ -462,11 +441,13 @@ def test_one_classify_call_per_chunk(mode, xor_dataset, monkeypatch):
     # each chunk is classified by one call over its whole weight stack, never
     # one call per network
     shapes = count_classify_calls(monkeypatch)
-    arch = MlpArchitecture(2, 2 if mode == "sampled" else 1, 1)
-    monkeypatch.setattr(evaluate, "CLASSIFY_CHUNK_BYTES", 7 * val_row_bytes(xor_dataset, arch))
     if mode == "sampled":
+        arch = MlpArchitecture(2, 2, 1)
+        monkeypatch.setattr(evaluate, "TRAIN_CHUNK", 7)
         report = evaluate_sampled(arch, xor_dataset, 20, seed=3)
     else:
+        arch = MlpArchitecture(2, 1, 1)
+        monkeypatch.setattr(evaluate, "CLASSIFY_CHUNK_BYTES", 7 * val_row_bytes(xor_dataset, arch))
         report = evaluate_exhaustive(arch, xor_dataset, WeightGrid((-1.0, 1.0), arch.weight_count))
     n = report.num_samples
     assert report.excluded == 0 and n == (20 if mode == "sampled" else 32)

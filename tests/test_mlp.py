@@ -965,21 +965,20 @@ def test_train_batch_validates_inputs():
 
 
 # ---------------------------------------------------------------------------
-# the working set: at most `window` rows train at once
+# the working set: only the rows still running
 # ---------------------------------------------------------------------------
 
 def _kernel_evaluations(monkeypatch):
     """Wrap both kernels (over whatever they are now); every row of every
-    call as (kernel, weight bytes) in call order, and each call's size."""
-    evaluations, sizes = [], []
+    call as (kernel, weight bytes), in call order."""
+    evaluations = []
     for name in KERNELS:
         def recording(arch, w, *args, _kernel=getattr(mlp, name), _name=name, **kwargs):
-            sizes.append(len(w))
             evaluations.extend((_name, row.tobytes()) for row in w)
             return _kernel(arch, w, *args, **kwargs)
 
         monkeypatch.setattr(mlp, name, recording)
-    return evaluations, sizes
+    return evaluations
 
 
 def _faulty_gradients(monkeypatch, fault):
@@ -1001,13 +1000,12 @@ def _faulty_gradients(monkeypatch, fault):
 
 @pytest.mark.parametrize("output_dim, fault", [
     (1, None), (3, None), (3, "overflow"), (1, "signed_zero")])
-def test_train_batch_window_trains_each_row_as_alone(output_dim, fault, monkeypatch):
-    # Rows that stop on every StopReason share a stack.  Through a window of
-    # 1, 3 or all of its rows, each row trains to the bits it has alone:
-    # tobytes, since np.array_equal takes -0.0 for 0.0, and an entering row's
-    # zero history must leave a -0.0 in its direction as it is.  Each row's
-    # kernel evaluations, in order, are those of its own call, so none comes
-    # after it stopped, and the kernels' row totals are the reference's.
+def test_train_batch_working_set_trains_each_row_as_alone(output_dim, fault, monkeypatch):
+    # Rows that stop on every StopReason share a stack, and each trains to
+    # the bits it has alone: tobytes, since np.array_equal takes -0.0 for
+    # 0.0.  Each row's kernel evaluations, in order, are those of its own
+    # call, so none comes after it stopped, and the kernels' row totals are
+    # the reference's.
     arch, x, y, stack = _training_problem(output_dim, "relu", rows=8)
     stack[5] = 1e300  # the starting loss overflows
     if fault == "signed_zero":
@@ -1020,7 +1018,7 @@ def test_train_batch_window_trains_each_row_as_alone(output_dim, fault, monkeypa
         reference_train_batch(arch, stack, x, y, cfg)
     alone, evaluations_alone = [], []
     with np.errstate(all="ignore"), monkeypatch.context() as m:
-        evaluations, _ = _kernel_evaluations(m)
+        evaluations = _kernel_evaluations(m)
         for i in range(len(stack)):
             first = len(evaluations)
             alone.append(mlp.train_batch(arch, stack[i : i + 1], x, y, cfg))
@@ -1031,25 +1029,17 @@ def test_train_batch_window_trains_each_row_as_alone(output_dim, fault, monkeypa
     assert set(want[1].tolist()) == set(mlp.StopReason)
     if fault == "overflow":  # some rows diverge after steps, not at the start
         assert ((want[1] == mlp.StopReason.DIVERGED) & (want[2] > 0)).any()
+    with np.errstate(all="ignore"), monkeypatch.context() as m:
+        evaluations = _kernel_evaluations(m)
+        got = mlp.train_batch(arch, stack, x, y, cfg)
+    for got_part, want_part in zip((got[0], got.stop_reason, got.iterations), want):
+        assert got_part.dtype == want_part.dtype
+        assert got_part.tobytes() == want_part.tobytes()
+    assert np.array_equal(got[1], want[1] == mlp.StopReason.DIVERGED)
     owner = {weights: i for i, rows in enumerate(evaluations_alone) for _, weights in rows}
-    for window in (1, 3, len(stack)):
-        with np.errstate(all="ignore"), monkeypatch.context() as m:
-            evaluations, sizes = _kernel_evaluations(m)
-            got = mlp.train_batch(arch, stack, x, y, cfg, window=window)
-        for got_part, want_part in zip((got[0], got.stop_reason, got.iterations), want):
-            assert got_part.dtype == want_part.dtype
-            assert got_part.tobytes() == want_part.tobytes(), window
-        assert np.array_equal(got[1], want[1] == mlp.StopReason.DIVERGED)
-        assert max(sizes) <= window
-        per_row = [[] for _ in stack]
-        for kernel, weights in evaluations:
-            per_row[owner[weights]].append((kernel, weights))
-        assert per_row == evaluations_alone, window
-        for name in KERNELS:
-            assert sum(kernel == name for kernel, _ in evaluations) == len(reference_calls[name])
-
-
-def test_train_batch_rejects_an_empty_window():
-    arch, x, y, stack = _training_problem(1, "logistic", rows=2)
-    with pytest.raises(ValueError, match="window must be >= 1, got 0"):
-        mlp.train_batch(arch, stack, x, y, window=0)
+    per_row = [[] for _ in stack]
+    for kernel, weights in evaluations:
+        per_row[owner[weights]].append((kernel, weights))
+    assert per_row == evaluations_alone
+    for name in KERNELS:
+        assert sum(kernel == name for kernel, _ in evaluations) == len(reference_calls[name])
