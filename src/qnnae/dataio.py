@@ -30,7 +30,12 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
+        labels = np.asarray(self.labels).reshape(-1)
+        # the int64 cast would drop a fraction and warn on NaN, infinity or a value past its range
+        if labels.dtype.kind == "f" and not np.all(
+                (np.round(labels) == labels) & (labels >= 0) & (labels < self.num_classes)):
+            raise ValueError(f"labels must be whole numbers in [0, {self.num_classes})")
+        self.labels = labels.astype(np.int64)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         if self.features.shape[0] != self.labels.shape[0]:
@@ -109,9 +114,11 @@ def _check_column_names(names: Sequence[str]) -> None:
 class SplitSpec:
     train_fraction: float = 0.1
     seed: int = 0
-    stratified: bool = True
+    stratified: bool = True  # kept only for perfbench's keyword; every split is stratified
 
     def __post_init__(self):
+        if not self.stratified:
+            raise ValueError("every split is stratified; stratified=False is not supported")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(
                 f"train_fraction must be in (0,1), got {self.train_fraction}"
@@ -276,7 +283,7 @@ def _train_quota(counts: np.ndarray, train_size: int) -> np.ndarray:
 
 
 def split(ds: Dataset, spec: SplitSpec) -> Tuple[Dataset, Dataset]:
-    """Deterministic partition; both parts preserve original row order."""
+    """Deterministic stratified partition; both parts preserve original row order."""
     n = ds.num_examples
     train_size = int(round(spec.train_fraction * n))
     if train_size < 1 or train_size >= n:
@@ -284,16 +291,13 @@ def split(ds: Dataset, spec: SplitSpec) -> Tuple[Dataset, Dataset]:
             f"train_fraction {spec.train_fraction} leaves an empty split for {n} rows"
         )
     rng = np.random.default_rng(spec.seed)
-    if spec.stratified:
-        classes, counts = np.unique(ds.labels, return_counts=True)
-        quota = _train_quota(counts, train_size)
-        train_idx: List[int] = []
-        for cls, take in zip(classes, quota):
-            members = np.flatnonzero(ds.labels == cls)
-            chosen = rng.choice(members, size=int(take), replace=False)
-            train_idx.extend(int(i) for i in chosen)
-    else:
-        train_idx = [int(i) for i in rng.choice(n, size=train_size, replace=False)]
+    classes, counts = np.unique(ds.labels, return_counts=True)
+    quota = _train_quota(counts, train_size)
+    train_idx: List[int] = []
+    for cls, take in zip(classes, quota):
+        members = np.flatnonzero(ds.labels == cls)
+        chosen = rng.choice(members, size=int(take), replace=False)
+        train_idx.extend(int(i) for i in chosen)
     mask = np.zeros(n, dtype=bool)
     mask[train_idx] = True
     return ds.subset(np.flatnonzero(mask)), ds.subset(np.flatnonzero(~mask))

@@ -119,30 +119,6 @@ class MlpModel:
             raise ValueError("weights must be finite")
 
 
-def _feature_statistics(
-    arch: MlpArchitecture, mean, scale
-) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """`train_batch`'s standardization statistics as float arrays, or (None, None).
-
-    Both are given or neither; each has shape (input_dim,) and is finite, and
-    no scale is zero.  Anything else is a ValueError.
-    """
-    if mean is None and scale is None:
-        return None, None
-    if mean is None or scale is None:
-        raise ValueError("feature_mean and feature_scale must be given together")
-    mean = np.asarray(mean, dtype=np.float64)
-    scale = np.asarray(scale, dtype=np.float64)
-    for name, values in (("feature_mean", mean), ("feature_scale", scale)):
-        if values.shape != (arch.input_dim,):
-            raise ValueError(f"{name} has shape {values.shape}, need ({arch.input_dim},)")
-        if not np.isfinite(values).all():
-            raise ValueError(f"{name} must be finite")
-    if not scale.all():
-        raise ValueError("feature_scale must be nonzero")
-    return mean, scale
-
-
 def init_weights(arch: MlpArchitecture, rng_seed: int | np.random.SeedSequence) -> np.ndarray:
     """Glorot uniform draw on [-r, r] per layer; `rng_seed` is an int or a SeedSequence."""
     rng = np.random.default_rng(rng_seed)
@@ -412,9 +388,12 @@ def train_batch(
 ) -> TrainResult:
     """Train a stack of models by full-batch L-BFGS with Armijo backtracking.
 
-    x is (n, input_dim) with n >= 1 and y holds n labels in [0, num_classes),
-    else ValueError; given statistics that pass `_feature_statistics`, x is
-    first standardized as (x - feature_mean) / feature_scale.
+    x is the (n, input_dim) feature matrix, n >= 1, used as given (callers
+    standardize it).  y holds n whole-number labels in [0, num_classes),
+    trained as int64; a fraction, NaN, infinity or a label out of range is a
+    ValueError, and so is any `feature_mean` or `feature_scale` but None
+    (the names remain only because perfbench's tracer binds them).
+
     Each row keeps its own history: the direction d is -H g, where H applies
     the pairs (s, y) of the row's last HISTORY steps by the two-loop recursion
     to gamma * g.  gamma starts at `learning_rate` and becomes s.y / y.y of
@@ -451,13 +430,13 @@ def train_batch(
         raise ValueError("training set must be non-empty")
     if y.shape[0] != x.shape[0]:
         raise ValueError("feature and label counts differ")
+    if y.dtype.kind == "f" and not np.all(np.isfinite(y) & (np.round(y) == y)):
+        raise ValueError("labels must be whole numbers")
     if y.min() < 0 or y.max() >= arch.num_classes:
         raise ValueError(f"labels must lie in [0, {arch.num_classes})")
-    feature_mean, feature_scale = _feature_statistics(arch, feature_mean, feature_scale)
-    if feature_mean is not None:
-        x = (x - feature_mean) / feature_scale
-    if arch.output_dim == 1:
-        y = y.astype(np.float64)
+    if feature_mean is not None or feature_scale is not None:
+        raise ValueError("train_batch uses x as given; standardize it before the call")
+    y = y.astype(np.float64 if arch.output_dim == 1 else np.int64)
 
     n_rows = len(out)
     reason = np.full(n_rows, _RUNNING, dtype=np.int8)

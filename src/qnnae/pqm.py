@@ -142,6 +142,8 @@ def retrieve_from_distances(distances: Sequence[int], n: int) -> RetrievalOutcom
     distances = np.asarray(distances)
     if distances.size == 0:
         raise ValueError("need at least one distance")
+    if distances.dtype.kind not in "iu":  # they index the table of terms
+        raise ValueError(f"distances must be integers, got dtype {distances.dtype}")
     if n < 1 or distances.min() < 0 or distances.max() > n:
         raise ValueError(f"distances must lie in [0, {n}] with n >= 1")
     cos_sq = np.array([math.cos(math.pi * d / (2 * n)) ** 2 for d in range(n + 1)])

@@ -188,6 +188,16 @@ def test_dataset_refuses_label_names_that_do_not_read_back(label_names, message)
         Dataset(np.zeros((4, 1)), [0, 1, 0, 1], 2, label_names=label_names)
 
 
+@pytest.mark.parametrize("bad", [0.5, np.nan, np.inf, -np.inf, 1e30])
+def test_dataset_refuses_labels_that_are_not_whole_numbers(bad):
+    # the int64 cast would truncate a fraction, or warn (an error under
+    # pytest's settings) on the others
+    with pytest.raises(ValueError, match=r"whole numbers in \[0, 2\)"):
+        Dataset(np.zeros((2, 1)), [bad, 1], 2)
+    whole = Dataset(np.zeros((2, 1)), [1.0, 0.0], 2).labels
+    assert whole.dtype == np.int64 and whole.tolist() == [1, 0]
+
+
 # Python 3.10's csv reader refuses a NUL character in any field
 ANY_CHARACTER = st.characters(exclude_characters="\x00" if sys.version_info < (3, 11) else "")
 # names that need quoting; a label may also hold a line break or be `label`,
@@ -297,11 +307,9 @@ def test_split_stratified_impossible():
         split(ds, SplitSpec(0.1, seed=0))
 
 
-def test_split_unstratified():
-    ds = dataset_with_labels([0, 1] * 50)
-    train, validation = split(ds, SplitSpec(0.1, seed=2, stratified=False))
-    assert train.num_examples == 10
-    assert train.num_examples + validation.num_examples == 100
+def test_split_spec_refuses_unstratified():
+    with pytest.raises(ValueError, match="every split is stratified"):
+        SplitSpec(0.1, seed=2, stratified=False)
 
 
 # ---------------------------------------------------------------------------

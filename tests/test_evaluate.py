@@ -185,7 +185,7 @@ def test_sampled_score_matches_retrieval(xor_dataset):
     stack = np.stack(
         [mlp.init_weights(arch, np.random.SeedSequence((seed, i))) for i in range(5)]
     )
-    trained, _ = mlp.train_batch(arch, stack, x_train, y_train, None, mean, scale)
+    trained, _ = mlp.train_batch(arch, stack, (x_train - mean) / scale, y_train)
     vectors = [
         performance_vector(MlpModel(arch, w), (x_val - mean) / scale, y_val)
         for w in trained
@@ -202,8 +202,8 @@ def test_pipeline_miss_counts_match_performance_vectors(
     dataset_name, activation, request, monkeypatch
 ):
     # the pipeline's per-network miss counts equal the public performance
-    # vectors'; the pipeline standardizes before training while this replay
-    # lets train_batch standardize, and both routes train the same bits
+    # vectors'; this replay standardizes with the statistics that
+    # `standardized_splits` returns, as the pipeline does, and trains the same bits
     dataset = request.getfixturevalue(dataset_name)
     arch = evaluate.architecture_for(dataset, 3, activation)
     seed = 4
@@ -221,7 +221,7 @@ def test_pipeline_miss_counts_match_performance_vectors(
     stack = np.stack(
         [mlp.init_weights(arch, np.random.SeedSequence((seed, i))) for i in range(10)]
     )
-    trained, _ = real(arch, stack, x_train, y_train, None, mean, scale)
+    trained, _ = real(arch, stack, (x_train - mean) / scale, y_train)
     assert np.array_equal(np.concatenate(pipeline_weights), trained)
     vectors = [
         performance_vector(MlpModel(arch, w), (x_val - mean) / scale, y_val) for w in trained

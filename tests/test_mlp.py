@@ -123,19 +123,13 @@ def test_model_rejects_bad_weights():
             MlpModel(arch, np.zeros(shape))
 
 
-@pytest.mark.parametrize("mean, scale, message", [
-    ([np.nan, 0.0], [1.0, 1.0], "feature_mean must be finite"),
-    ([0.0], [1.0, 1.0], r"feature_mean has shape \(1,\), need \(2,\)"),
-    ([0.0, 0.0], [1.0, 0.0], "feature_scale must be nonzero"),
-    ([0.0, 0.0], [np.inf, 1.0], "feature_scale must be finite"),
-    ([0.0, 0.0], None, "given together"),
-], ids=["nan-mean", "short-mean", "zero-scale", "inf-scale", "mean-only"])
-def test_feature_statistics_are_checked(mean, scale, message):
-    # statistics that would standardize to NaN, broadcast, or warn are rejected
+def test_train_batch_refuses_feature_statistics():
+    # x is used as given; standardizing is the caller's job
     arch = MlpArchitecture(2, 2, 1)
     stack = np.stack([init_weights(arch, s) for s in range(2)])
-    with pytest.raises(ValueError, match=message):
-        mlp.train_batch(arch, stack, XOR_X, XOR_Y, None, mean, scale)
+    for mean, scale in (([0.0, 0.0], [1.0, 1.0]), ([0.0, 0.0], None), (None, [1.0, 1.0])):
+        with pytest.raises(ValueError, match="standardize it before the call"):
+            mlp.train_batch(arch, stack, XOR_X, XOR_Y, None, mean, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -926,11 +920,12 @@ def test_train_batch_trains_xor_rows_to_the_tolerance():
     x, y, _, _, mean, scale = evaluate.standardized_splits(data, SplitSpec(seed=0))
     arch = MlpArchitecture(2, 4, 1)
     stack = np.stack([init_weights(arch, s) for s in range(64)])
-    result = mlp.train_batch(arch, stack, x, y, None, mean, scale)
+    x = (x - mean) / scale
+    result = mlp.train_batch(arch, stack, x, y)
     reasons = np.bincount(result.stop_reason, minlength=len(mlp.StopReason))
     assert reasons[mlp.StopReason.TOLERANCE] >= 0.9 * len(stack)
     assert reasons[mlp.StopReason.MAX_ITER] == 0
-    assert_tolerance_stops_match_the_gradient(arch, result, (x - mean) / scale, y, TrainConfig())
+    assert_tolerance_stops_match_the_gradient(arch, result, x, y, TrainConfig())
 
 
 def test_train_batch_flags_rows_whose_gradient_norm_overflows():
@@ -954,6 +949,10 @@ def test_train_batch_validates_inputs():
     cases = [
         (binary, XOR_X, np.array([0, 1, 2, 0]), "labels must lie in \\[0, 2\\)"),
         (three, XOR_X, np.array([0, 1, 5, 0]), "labels must lie in \\[0, 3\\)"),
+        (binary, XOR_X, np.array([0.5, 1, 1, 0]), "whole numbers"),
+        (binary, XOR_X, np.array([np.nan, 1, 1, 0]), "whole numbers"),
+        (three, XOR_X, np.array([0, 1, np.inf, 0]), "whole numbers"),
+        (three, XOR_X, np.array([0, 1, 1.5, 0]), "whole numbers"),
         (binary, np.zeros((4, 3)), XOR_Y, "expected feature matrix with 2 columns"),
         (binary, XOR_X, XOR_Y[:3], "feature and label counts differ"),
         (binary, np.zeros((0, 2)), np.zeros(0, dtype=np.int64), "must be non-empty"),
@@ -962,6 +961,15 @@ def test_train_batch_validates_inputs():
         stack = np.stack([init_weights(arch, s) for s in range(2)])
         with pytest.raises(ValueError, match=message):
             mlp.train_batch(arch, stack, x, y)
+
+
+@pytest.mark.parametrize("output_dim", [1, 3])
+def test_train_batch_trains_whole_number_float_labels_as_ints(output_dim):
+    arch = MlpArchitecture(2, 2, output_dim)
+    stack = np.stack([init_weights(arch, s) for s in range(2)])
+    y = np.array([0, 1, 1, 0]) if output_dim == 1 else np.array([0, 1, 2, 1])
+    assert_same_training(mlp.train_batch(arch, stack, XOR_X, y.astype(np.float64)),
+                         mlp.train_batch(arch, stack, XOR_X, y))
 
 
 # ---------------------------------------------------------------------------

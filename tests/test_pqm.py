@@ -469,6 +469,8 @@ def test_retrieve_from_distances_rejects_bad_input():
     for bad in (-1, 4):
         with pytest.raises(ValueError, match=r"\[0, 3\]"):
             pqm.retrieve_from_distances([0, bad, 1], 3)
+    with pytest.raises(ValueError, match="must be integers"):
+        pqm.retrieve_from_distances([0.5], 2)
 
 
 def test_retrieve_from_distances_is_the_analytic_and_score_formula():
